@@ -78,7 +78,8 @@ else
   for word in "nodes" "edge" "base_port" "done" "bye" "net.mesh" \
       "topology hash" "writev" "heartbeat" "rejoin" "replay journal" \
       "--resume" "backoff" "StatsFrame" "--stats-interval" "--fed-metrics" \
-      "cim_top" "fed.node" "stats_parent"; do
+      "cim_top" "fed.node" "stats_parent" "closing handshake" \
+      "acked immediately" "empty send queue" "grace_exits"; do
     if ! grep -q -- "$word" "$bridge_doc"; then
       echo "check_docs: '${word}' is not documented in docs/BRIDGE.md" >&2
       status=1

@@ -82,8 +82,9 @@ done
 "$checker" "$out/merged.trace" --cm | tee "$out/checker.out"
 
 # Every online monitor must have stayed silent, pairs must actually have
-# crossed the wire, and the epoll transport must have been exercised
-# (metrics schema v3, docs/OBSERVABILITY.md).
+# crossed the wire, the epoll transport must have been exercised (metrics
+# schema v3, docs/OBSERVABILITY.md), and every link must have closed on the
+# fast path.
 i=0
 while [ "$i" -lt "$n" ]; do
   python3 - "$out/n$i.json" "$i" <<'EOF'
@@ -101,6 +102,20 @@ if val("net.wire.bytes_out") == 0:
     sys.exit(f"mesh_smoke: node {node}: no wire bytes sent?")
 if val("net.mesh.syscalls_writev") == 0:
     sys.exit(f"mesh_smoke: node {node}: epoll transport not exercised?")
+# Fault-free run: every link closes through the immediately acked done/bye
+# handshake, never through the rejoin grace window, and no session ever
+# resumed (docs/BRIDGE.md "Termination").
+peers = [name.split(".")[2] for name in metrics
+         if name.startswith("net.mesh.") and name.endswith(".resumes")]
+if not peers:
+    sys.exit(f"mesh_smoke: node {node}: no net.mesh.<peer>.* session gauges")
+for peer in peers:
+    for key in ("grace_exits", "resumes"):
+        name = f"net.mesh.{peer}.{key}"
+        if name not in metrics:
+            sys.exit(f"mesh_smoke: node {node}: {name} missing")
+        if val(name) != 0:
+            sys.exit(f"mesh_smoke: node {node}: {name} = {val(name)}, want 0")
 EOF
   i=$((i + 1))
 done
@@ -159,4 +174,4 @@ print(f"merged perfetto export ok: {len(events)} events, {len(pids)} pids")
 EOF
 
 echo "mesh_smoke: OK ($shape($n) merged history causal, zero monitor violations," \
-  "fed snapshot + merged trace validated)"
+  "no grace exits or resumes, fed snapshot + merged trace validated)"

@@ -110,7 +110,13 @@ void LinkSession::begin_shutdown() {
 
 bool LinkSession::drained() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return journal_.empty();
+  // Both halves of the closing handshake: the peer acked everything we sent
+  // (journal empty), and the acks we owe it have left the send queue — so
+  // closing now cannot strand a peer that waits on one. A dead stream owes
+  // nothing more.
+  return journal_.empty() &&
+         (transport_ == nullptr || transport_->peer_closed() ||
+          transport_->backlog() == 0);
 }
 
 void LinkSession::handle_ack_locked(std::uint64_t ack) {
@@ -269,6 +275,11 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
         is_ctrl ||
         std::strcmp(frame->payload->type_name(), "wire.stats") == 0;
     if (!is_meta) ++data_delivered_;
+    const auto* ctrl =
+        is_ctrl ? static_cast<const ControlMsg*>(frame->payload.get())
+                : nullptr;
+    const bool closing = ctrl != nullptr && (ctrl->code == ControlMsg::kDone ||
+                                             ctrl->code == ControlMsg::kBye);
     if (spill_ != nullptr) {
       // Record-then-deliver: once the cursor is on disk the frame is
       // never accepted again, so a crash between the two leaves at most a
@@ -276,11 +287,19 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
       // explicitly allows; a duplicate apply would not be.
       spill_->record_delivered(cfg_.link_index, recv_expected_,
                                data_delivered_);
-      if (is_ctrl) {
-        const auto& ctrl = static_cast<const ControlMsg&>(*frame->payload);
-        if (ctrl.code == ControlMsg::kDone || ctrl.code == ControlMsg::kBye)
-          spill_->record_ctrl_delivered(cfg_.link_index, ctrl.code, ctrl.a);
-      }
+      if (closing)
+        spill_->record_ctrl_delivered(cfg_.link_index, ctrl->code, ctrl->a);
+    }
+    if (closing && transport_ != nullptr) {
+      // Closing handshake (docs/BRIDGE.md "Termination"): ack done/bye now,
+      // not on the next heartbeat — the peer's final drain waits on exactly
+      // this ack. A pure-ACK frame without the heartbeat's timestamp tail;
+      // on the loop thread send_bytes flushes it inline.
+      net::TransportFrame ack;
+      ack.ack = recv_expected_;
+      std::vector<std::uint8_t> buf;
+      net::wire::encode(ack, buf);
+      transport_->send_bytes(buf.data(), buf.size(), false);
     }
     payload = std::move(frame->payload);
   }
@@ -324,9 +343,9 @@ void LinkSession::tick() {
           ++resumes_;
         }
         if (t->backlog() < 16) {
-          // Heartbeat: a pure-ACK frame. Doubles as ack carriage during the
-          // mutual drain-wait at shutdown (each side's journal empties on
-          // the other's heartbeats alone).
+          // Heartbeat: a pure-ACK frame, the steady-state ack carrier when
+          // no data frame flows back (done/bye are acked at once instead,
+          // see on_frame).
           net::TransportFrame hb;
           hb.ack = recv_expected_;
           // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest
@@ -409,7 +428,10 @@ void LinkSession::reconnect_main() {
       reconnect_cv_.wait_for(lock, std::chrono::milliseconds(delay), [this] {
         return stopped_ || !socket_dead_;
       });
-      if (stopped_ || !socket_dead_ || state_ == LinkState::kFailed) break;
+      // A final drain with nothing left to replay has no use for a socket.
+      if (stopped_ || !socket_dead_ || state_ == LinkState::kFailed ||
+          (shutdown_ && journal_.empty()))
+        break;
       const std::uint64_t delivered = recv_expected_;
       lock.unlock();
       std::uint64_t peer_delivered = 0;

@@ -16,6 +16,9 @@
 //    watches the transport's last_rx_ns: a silent peer (SIGSTOP, stall)
 //    flips the link to kDegraded (net.mesh.<peer>.{down,hb_miss} gauges)
 //    instead of killing the node, and flips back when bytes flow again.
+//  * done/bye control frames are acked the moment they are delivered, with
+//    a pure-ACK frame: the closing handshake of a fault-free edge takes one
+//    round trip, not a heartbeat interval (docs/BRIDGE.md "Termination").
 //  * A dead socket (EOF, RST, write failure) retires the transport
 //    incarnation; the dialer side re-dials with capped exponential backoff +
 //    jitter and a kRejoin handshake (session id + last-delivered seq), the
@@ -112,7 +115,11 @@ class LinkSession final : public net::LinkTransport {
   /// Final drain: EOF from here on is a normal goodbye, not an outage.
   void begin_shutdown();
 
-  /// Every sent frame acknowledged (the replay journal is empty).
+  /// The closing handshake is complete on our side: every sent frame is
+  /// acknowledged (the replay journal is empty) and every ack we owe the
+  /// peer has left the live transport's send queue. done/bye frames are
+  /// acked the moment they are delivered, so a fault-free drain takes one
+  /// round trip, not a heartbeat.
   bool drained() const;
 
   /// Join the reconnect thread. Call before the loop stops.

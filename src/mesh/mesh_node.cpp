@@ -1,5 +1,6 @@
 #include "mesh/mesh_node.h"
 
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,9 +41,10 @@ std::int64_t steady_ns() {
 MeshNode::MeshNode(MeshConfig config) : cfg_(std::move(config)) {}
 
 MeshNode::~MeshNode() {
-  accept_stop_.store(true, std::memory_order_release);
+  wake_accept_thread();
   for (auto& s : sessions_) s->stop();
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (accept_wake_ >= 0) ::close(accept_wake_);
   // Contract with the transports: the loop thread must be joined before any
   // registered handler dies (net/epoll_loop.h).
   loop_.stop();
@@ -282,8 +284,7 @@ bool MeshNode::join() {
         deadline - Clock::now());
     const int timeout = static_cast<int>(std::max<std::int64_t>(
         0, left.count()));
-    const int fd = timeout > 0 ? net::tcp_accept(listener_, timeout) : -1;
-    if (fd < 0) {
+    if (timeout == 0) {
       std::string missing;
       for (std::size_t e = 0; e < neighbors_.size(); ++e) {
         if (neighbors_[e] > cfg_.node_id && fds_[e] < 0)
@@ -295,20 +296,44 @@ bool MeshNode::join() {
       listener_ = -1;
       return false;
     }
+    const int fd = net::tcp_accept(listener_, timeout);
+    if (fd < 0) {
+      // Timed out (reported above next round) or a transient accept
+      // failure such as descriptor exhaustion: retry without spinning.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
     if (handshake_accept(fd) != isc::Topology::npos) ++joined;
   }
   return true;
 }
 
+void MeshNode::wake_accept_thread() {
+  accept_stop_.store(true, std::memory_order_release);
+  if (accept_wake_ >= 0) {
+    const std::uint64_t one = 1;
+    // An eventfd write fails only on counter overflow, which one stop
+    // signal cannot reach.
+    (void)!::write(accept_wake_, &one, sizeof(one));
+  }
+}
+
 void MeshNode::accept_main() {
   // Runs for the whole of run(): answers kRejoin handshakes from crashed
-  // higher-id dialers and refuses everything else. tcp_accept's timeout is
-  // the stop-polling granularity.
+  // higher-id dialers and refuses everything else. Every wait here also
+  // watches accept_wake_, so shutdown never waits on a poll timeout.
   while (!accept_stop_.load(std::memory_order_acquire)) {
-    const int fd = net::tcp_accept(listener_, 200);
-    if (fd < 0) continue;
+    const int fd = net::tcp_accept(listener_, -1, accept_wake_);
+    if (fd < 0) {
+      // Woken for shutdown (the loop condition ends it), or a transient
+      // accept failure such as descriptor exhaustion: retry without
+      // spinning.
+      net::wait_readable(accept_wake_, 10);
+      continue;
+    }
     ControlMsg msg;
-    if (recv_ctrl_fd(fd, 1000, msg) != nullptr) {
+    if (!net::wait_readable(fd, 1000, accept_wake_) ||
+        recv_ctrl_fd(fd, 1000, msg) != nullptr) {
       ::close(fd);
       continue;
     }
@@ -519,7 +544,12 @@ MeshResult MeshNode::run() {
 
   // Rejoin service — started only after every session exists, so a crashed
   // dialer reconnecting the instant we come back finds its session.
-  if (listener_ >= 0) accept_thread_ = std::thread([this] { accept_main(); });
+  if (listener_ >= 0) {
+    accept_wake_ = ::eventfd(0, EFD_CLOEXEC);
+    CIM_CHECK_MSG(accept_wake_ >= 0,
+                  "eventfd failed: " << std::strerror(errno));
+    accept_thread_ = std::thread([this] { accept_main(); });
+  }
   sessions_ready_.store(true, std::memory_order_release);
 
   // Snapshot of this node's thread-safe session/transport gauges, keyed
@@ -633,7 +663,7 @@ MeshResult MeshNode::run() {
     // Sessions next: stop() closes the live transports, which unblocks an
     // accept thread stuck replaying into a stalled peer — only then is the
     // join below guaranteed to return.
-    accept_stop_.store(true, std::memory_order_release);
+    wake_accept_thread();
     for (auto& s : sessions_) s->stop();
     if (stats_thread.joinable()) stats_thread.join();
     if (accept_thread_.joinable()) accept_thread_.join();
@@ -719,30 +749,41 @@ MeshResult MeshNode::run() {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Final drain: every sent frame acked (the peer journaled our done/bye),
-  // bounded by drain_timeout_ms. A peer that already said bye and closed its
-  // socket is *probably* done with us — but "probably" is a race: the same
-  // socket death can mean our bye never arrived and the peer is mid-redial,
-  // and abandoning it now strands it waiting for a bye that a dead listener
+  // Final drain: the closing handshake of every link completes (the peer
+  // acked our done/bye, and our acks of its done/bye left the send queue —
+  // LinkSession::drained), bounded by drain_timeout_ms. Both sides ack
+  // done/bye on arrival, so a fault-free drain takes one round trip.
+  //
+  // The grace window below is the fallback for a real failure only. A peer
+  // that already said bye and closed its socket while our bye is unacked is
+  // *probably* done with us — but "probably" is a race: the same socket
+  // death can mean our bye never arrived and the peer is mid-redial, and
+  // abandoning it now strands it waiting for a bye that a dead listener
   // will never replay. So the escape only fires once the link has stayed
   // disconnected through a grace window sized to the peer's worst
   // rejoin-latency (its capped backoff plus detection); a rejoin inside the
-  // window resets the clock and the journal replays normally.
+  // window resets the clock and the journal replays normally. Each exit
+  // through the window is counted (net.mesh.<peer>.grace_exits).
   for (auto& s : sessions_) s->begin_shutdown();
   const auto drain_deadline =
       Clock::now() + std::chrono::milliseconds(cfg_.drain_timeout_ms);
   const auto rejoin_grace = std::chrono::milliseconds(
       2 * cfg_.backoff_max_ms + 2 * cfg_.hb_interval_ms);
   std::vector<Clock::time_point> dead_since(n_links, Clock::time_point{});
+  std::vector<bool> grace_exit(n_links, false);
   while (Clock::now() < drain_deadline) {
     bool all = true;
     const auto now = Clock::now();
     for (std::size_t e = 0; e < n_links; ++e) {
+      grace_exit[e] = false;
       if (sessions_[e]->drained()) continue;
       if (peer_bye[e].load(std::memory_order_acquire) &&
           !sessions_[e]->connected()) {
         if (dead_since[e] == Clock::time_point{}) dead_since[e] = now;
-        if (now - dead_since[e] >= rejoin_grace) continue;
+        if (now - dead_since[e] >= rejoin_grace) {
+          grace_exit[e] = true;
+          continue;
+        }
       } else {
         dead_since[e] = Clock::time_point{};
       }
@@ -785,6 +826,7 @@ MeshResult MeshNode::run() {
         static_cast<std::int64_t>(sessions_[e]->resumes()));
     m.gauge(p + "dup_drops").set(
         static_cast<std::int64_t>(sessions_[e]->dup_drops()));
+    m.gauge(p + "grace_exits").set(grace_exit[e] ? 1 : 0);
     m.gauge(p + "pairs_sent").set(
         static_cast<std::int64_t>(sessions_[e]->data_sent()));
     m.gauge(p + "pairs_delivered").set(

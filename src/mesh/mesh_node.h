@@ -43,9 +43,10 @@
 // announced count) — only then is the pair count of L final, because
 // forwards of pairs from M contribute to L. Leaves therefore fire
 // immediately and dones converge across the tree; bye(L) answers a drained
-// done(L), and the node stops when every link has seen both byes. Induction
-// on the tree structure (the same induction as the paper's Corollary 1)
-// gives progress.
+// done(L), and the node stops when every link has seen both byes and its
+// closing handshake is complete (LinkSession::drained: done/bye are acked on
+// arrival, so this takes one round trip). Induction on the tree structure
+// (the same induction as the paper's Corollary 1) gives progress.
 //
 // Value ranges: node i of generation g writes values in
 // [i * 1'000'000 + g * 200'000, ...), so the merged per-process histories
@@ -98,8 +99,8 @@ struct MeshConfig {
   int backoff_initial_ms = 50;
   int backoff_max_ms = 1000;
   int reconnect_attempts = 40;
-  /// Budget for the final drain (every sent frame acked) after the
-  /// convergecast completes.
+  /// Budget for the final drain (every sent frame acked, every owed ack
+  /// sent) after the convergecast completes.
   int drain_timeout_ms = 10'000;
   /// Write-ahead spill journal path ("" = no crash spill, no --resume).
   std::string state_path;
@@ -176,6 +177,8 @@ class MeshNode {
   bool load_resume_state();
   std::uint64_t edge_session_id(std::size_t peer) const;
   void accept_main();
+  /// Tell accept_main to stop, cutting short whatever it waits on.
+  void wake_accept_thread();
 
   MeshConfig cfg_;
   std::vector<std::size_t> neighbors_;  // ascending node ids
@@ -190,6 +193,7 @@ class MeshNode {
   std::unique_ptr<isc::Federation> fed_;
   std::vector<std::unique_ptr<LinkSession>> sessions_;
   std::unique_ptr<std::ofstream> history_;
+  int accept_wake_ = -1;  // eventfd: wake_accept_thread() signals it
   std::thread accept_thread_;
   std::atomic<bool> accept_stop_{false};
   std::atomic<bool> sessions_ready_{false};

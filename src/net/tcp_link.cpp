@@ -91,26 +91,35 @@ int tcp_listen(std::uint16_t port, int backlog) {
   return listener;
 }
 
-int tcp_accept(int listener_fd, int timeout_ms) {
-  if (timeout_ms >= 0) {
-    pollfd pfd{listener_fd, POLLIN, 0};
-    int n;
-    do {
-      n = ::poll(&pfd, 1, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n == 0) return -1;  // timeout
-    CIM_CHECK_MSG(n > 0, "poll(listener) failed: " << std::strerror(errno));
-  }
-  const int fd = ::accept(listener_fd, nullptr, nullptr);
-  CIM_CHECK_MSG(fd >= 0, "accept() failed: " << std::strerror(errno));
-  set_nodelay(fd);
-  return fd;
+bool wait_readable(int fd, int timeout_ms, int wake_fd) {
+  pollfd pfd[2] = {{fd, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+  const nfds_t n_fds = wake_fd >= 0 ? 2 : 1;
+  int n;
+  do {
+    n = ::poll(pfd, n_fds, timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  if (n == 0) return false;  // timeout
+  CIM_CHECK_MSG(n > 0, "poll() failed: " << std::strerror(errno));
+  if (n_fds == 2 && pfd[1].revents != 0) return false;  // woken
+  return pfd[0].revents != 0;
 }
 
-int tcp_listen_accept(std::uint16_t port) {
-  const int listener = tcp_listen(port, 1);
-  const int fd = tcp_accept(listener, -1);
-  ::close(listener);
+int tcp_accept(int listener_fd, int timeout_ms, int wake_fd) {
+  if ((timeout_ms >= 0 || wake_fd >= 0) &&
+      !wait_readable(listener_fd, timeout_ms, wake_fd))
+    return -1;
+  const int fd = ::accept(listener_fd, nullptr, nullptr);
+  if (fd < 0) {
+    // Transient: the connection died in the backlog, a signal landed, the
+    // process or system is out of descriptors or buffers, or a pending
+    // network error surfaced (accept(2) says to retry those). The listener
+    // is intact and the caller polls again. Only a broken listener throws.
+    CIM_CHECK_MSG(errno != EBADF && errno != ENOTSOCK && errno != EINVAL &&
+                      errno != EFAULT,
+                  "accept() failed: " << std::strerror(errno));
+    return -1;
+  }
+  set_nodelay(fd);
   return fd;
 }
 

@@ -59,14 +59,17 @@ namespace cim::net {
 /// are queued, not refused (docs/BRIDGE.md "Join").
 int tcp_listen(std::uint16_t port, int backlog = 1);
 
-/// Accept one connection from `listener_fd`, waiting at most `timeout_ms`
-/// (<0: forever). Returns the connected fd, or -1 on timeout.
-int tcp_accept(int listener_fd, int timeout_ms = -1);
+/// Wait until `fd` is readable, at most `timeout_ms` (<0: forever), or until
+/// `wake_fd` (if >= 0) turns readable. True iff `fd` is readable and the
+/// wake fd is not; false on timeout or wake.
+bool wait_readable(int fd, int timeout_ms, int wake_fd = -1);
 
-/// Listen on `port` (all interfaces), accept one connection, close the
-/// listener. Returns the connected socket fd; throws InvariantViolation on
-/// socket errors.
-int tcp_listen_accept(std::uint16_t port);
+/// Accept one connection from `listener_fd`, waiting at most `timeout_ms`
+/// (<0: forever) or until `wake_fd` (if >= 0) turns readable — a stop signal
+/// that needs no poll timeout. Returns the connected fd, or -1 on timeout,
+/// on wake, or on a transient accept() failure (EINTR, ECONNABORTED, EAGAIN,
+/// EMFILE, ENFILE and the like), after which the listener is still usable.
+int tcp_accept(int listener_fd, int timeout_ms = -1, int wake_fd = -1);
 
 /// Connect to host:port, retrying (100ms apart) while the peer is not yet
 /// listening. Returns the connected fd; throws after `retries` failures.

@@ -1,15 +1,18 @@
 // Mesh formation and drain (src/mesh/mesh_node.h, docs/BRIDGE.md): topology
 // spec validation, the kJoin handshake's rejection paths (duplicate join,
 // impostor, diverging spec, peer death mid-handshake), a partial topology
-// timing out cleanly, and a 5-system tree soak whose merged history passes
-// the causal checker — Corollary 1 exercised over real localhost sockets.
+// timing out cleanly, a 5-system tree soak whose merged history passes
+// the causal checker — Corollary 1 exercised over real localhost sockets —
+// and the closing handshake: its fast path and its grace-window fallback.
 //
 // Ports: every test derives its base port from getpid() plus a per-test
 // offset, because cim_tests and cim_tests_bytes_wire may run concurrently
 // under ctest -j.
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -115,26 +118,40 @@ void send_ctrl(int fd, std::uint8_t code, std::uint64_t a, std::uint64_t b) {
             static_cast<ssize_t>(buf.size()));
 }
 
-ControlMsg recv_ctrl(int fd) {
-  std::uint8_t frame[64];
-  EXPECT_EQ(::read(fd, frame, 4), 4);
+// One wire-encoded message off a blocking stream (10 s receive budget);
+// null on EOF, timeout or a frame that does not decode.
+net::MessagePtr read_msg(int fd) {
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  auto read_exact = [fd](std::uint8_t* dst, std::size_t len) {
+    while (len > 0) {
+      const ssize_t n = ::read(fd, dst, len);
+      if (n <= 0) return false;
+      dst += n;
+      len -= static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  std::vector<std::uint8_t> buf(4);
+  if (!read_exact(buf.data(), 4)) return nullptr;
   std::uint32_t body = 0;
   for (int i = 0; i < 4; ++i)
-    body |= static_cast<std::uint32_t>(frame[i]) << (8 * i);
-  EXPECT_LE(body, sizeof(frame) - 4);
-  std::size_t got = 0;
-  while (got < body) {
-    const ssize_t n = ::read(fd, frame + 4 + got, body - got);
-    if (n <= 0) {
-      ADD_FAILURE() << "peer closed mid-frame";
-      return {};
-    }
-    got += static_cast<std::size_t>(n);
+    body |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
+  if (body > net::wire::kMaxBodyBytes) return nullptr;
+  buf.resize(4 + body);
+  if (!read_exact(buf.data() + 4, body)) return nullptr;
+  auto res = net::wire::decode(buf.data(), buf.size());
+  return res.ok() ? std::move(res.msg) : nullptr;
+}
+
+ControlMsg recv_ctrl(int fd) {
+  const net::MessagePtr msg = read_msg(fd);
+  const auto* ctrl = dynamic_cast<const ControlMsg*>(msg.get());
+  if (ctrl == nullptr) {
+    ADD_FAILURE() << "expected a control frame";
+    return {};
   }
-  auto res = net::wire::decode(frame, 4 + body);
-  EXPECT_TRUE(res.ok()) << res.error;
-  auto* ctrl = dynamic_cast<ControlMsg*>(res.msg.get());
-  EXPECT_NE(ctrl, nullptr);
   return *ctrl;
 }
 
@@ -270,6 +287,77 @@ TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
   joiner.join();
 }
 
+// net.mesh.<peer>.grace_exits of a node whose run() returned, for link `e`.
+std::int64_t grace_exits(mesh::MeshNode& node, std::size_t e) {
+  const auto snap = node.federation().observability().metrics().snapshot();
+  const auto* entry = snap.find(
+      "net.mesh." + std::to_string(node.neighbor(e)) + ".grace_exits");
+  EXPECT_NE(entry, nullptr) << "grace_exits gauge missing";
+  return entry != nullptr ? entry->value : -1;
+}
+
+// Fault-free termination takes the fast path on every link: no exit through
+// the rejoin grace window, no session resume.
+void expect_clean_close(mesh::MeshNode& node) {
+  for (std::size_t e = 0; e < node.degree(); ++e) {
+    EXPECT_EQ(grace_exits(node, e), 0) << "link " << e;
+    EXPECT_EQ(node.session(e).resumes(), 0u) << "link " << e;
+  }
+}
+
+// ---- listener robustness ---------------------------------------------------
+
+TEST(TcpAccept, DescriptorExhaustionIsTransient) {
+  // A connection waits in the backlog while the process is out of
+  // descriptors: accept() fails with EMFILE. That must come back as -1, not
+  // as an exception that would end a node's accept thread, and the
+  // connection must still be there once descriptors free up.
+  const std::uint16_t port = test_port(120);
+  const int listener = net::tcp_listen(port, 4);
+  const int client = net::tcp_connect("127.0.0.1", port, 100);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  // The lowest free descriptor becomes the limit: every slot below it is
+  // taken, so the next allocation fails.
+  const int lowest_free = ::dup(listener);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  int fd = -2;
+  int err = 0;
+  try {
+    errno = 0;
+    fd = net::tcp_accept(listener, 2'000);
+    err = errno;
+  } catch (const InvariantViolation& e) {
+    ADD_FAILURE() << "tcp_accept threw: " << e.what();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(fd, -1);
+  EXPECT_EQ(err, EMFILE);
+
+  fd = net::tcp_accept(listener, 2'000);
+  EXPECT_GE(fd, 0);
+  if (fd >= 0) ::close(fd);
+  ::close(client);
+  ::close(listener);
+}
+
+TEST(TcpAccept, WakeFdEndsTheWaitWithoutATimeout) {
+  const int listener = net::tcp_listen(test_port(130), 1);
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(net::tcp_accept(listener, -1, pipe_fds[0]), -1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+  ::close(listener);
+}
+
 // ---- the 5-system tree soak ------------------------------------------------
 
 TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
@@ -324,6 +412,131 @@ TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
   const auto verdict =
       chk::CausalChecker{}.check(history, chk::Level::kCM);
   EXPECT_TRUE(verdict.ok()) << verdict.detail;
+  for (auto& n : nodes) expect_clean_close(*n);
+}
+
+// ---- the closing handshake (docs/BRIDGE.md "Termination") ------------------
+
+TEST(MeshDrain, FaultFreeChainClosesWithoutGraceOrResume) {
+  // Default session timings, so the rejoin grace window is the full
+  // 2 x backoff_max + 2 x hb_interval = 2.2 s a missed ack used to cost.
+  const std::uint16_t base = test_port(140);
+  std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
+  for (std::size_t i = 0; i < 2; ++i) {
+    mesh::MeshConfig cfg;
+    cfg.node_id = i;
+    cfg.topo = isc::make_chain(2);
+    cfg.base_port = base;
+    cfg.procs = 2;
+    cfg.ops = 40;
+    cfg.seed = 13;
+    cfg.join_timeout_ms = 20'000;
+    nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
+  }
+  std::vector<mesh::MeshResult> results(2);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      if (nodes[i]->join()) results[i] = nodes[i]->run();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
+    expect_clean_close(*nodes[i]);
+  }
+  EXPECT_EQ(nodes[0]->session(0).data_sent(),
+            nodes[1]->session(0).data_delivered());
+  EXPECT_EQ(nodes[1]->session(0).data_sent(),
+            nodes[0]->session(0).data_delivered());
+}
+
+void send_frame(int fd, std::uint64_t seq, std::uint64_t ack,
+                std::uint8_t ctrl_code) {
+  net::TransportFrame frame;
+  frame.seq = seq;
+  frame.ack = ack;
+  if (ctrl_code != 0) {
+    auto ctrl = std::make_unique<ControlMsg>();
+    ctrl->code = ctrl_code;
+    frame.payload = std::move(ctrl);
+  }
+  std::vector<std::uint8_t> buf;
+  net::wire::encode(frame, buf);
+  ASSERT_EQ(::send(fd, buf.data(), buf.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(buf.size()));
+}
+
+TEST(MeshDrain, PeerClosingOnAnUnackedByeDrainsThroughTheGraceWindow) {
+  // A real failure, deterministically: the test plays node 1 of a 2-chain
+  // over raw frames. It announces zero pairs, acks node 0's data and done,
+  // answers with its own bye — then closes without acking node 0's bye.
+  // Node 0 cannot tell "the peer is gone" from "the peer is mid-redial", so
+  // it must wait out the rejoin grace window, count the exit, and return
+  // well inside its drain budget with every pair delivered exactly once.
+  const std::uint16_t base = test_port(150);
+  mesh::MeshConfig cfg;
+  cfg.node_id = 0;
+  cfg.topo = isc::make_chain(2);
+  cfg.base_port = base;
+  cfg.procs = 2;
+  cfg.ops = 10;
+  cfg.seed = 3;
+  cfg.join_timeout_ms = 20'000;
+  cfg.hb_interval_ms = 20;
+  cfg.backoff_max_ms = 100;  // grace window: 2 x 100 + 2 x 20 = 240 ms
+  cfg.drain_timeout_ms = 10'000;
+  mesh::MeshNode node(std::move(cfg));
+  mesh::MeshResult result;
+  std::thread runner([&] {
+    if (node.join()) result = node.run();
+  });
+
+  const int fd = net::tcp_connect("127.0.0.1", base, 100);
+  handshake_as(fd, 1, isc::make_chain(2).hash());
+  send_frame(fd, /*seq=*/0, /*ack=*/0, ControlMsg::kDone);  // zero pairs
+
+  // Read node 0's stream up to its bye: data frames in seq order, each
+  // exactly once, then done, then bye.
+  std::uint64_t next_seq = 0;
+  std::uint64_t pairs = 0;
+  bool saw_done = false;
+  bool saw_bye = false;
+  while (!saw_bye) {
+    const net::MessagePtr msg = read_msg(fd);
+    const auto* frame = dynamic_cast<const net::TransportFrame*>(msg.get());
+    ASSERT_NE(frame, nullptr) << "node 0's stream ended before its bye";
+    if (frame->payload == nullptr) continue;  // heartbeat or pure ACK
+    ASSERT_EQ(frame->seq, next_seq) << "duplicate or gap";
+    ++next_seq;
+    const auto* ctrl = dynamic_cast<const ControlMsg*>(frame->payload.get());
+    if (ctrl == nullptr) {
+      EXPECT_FALSE(saw_done) << "pair after done";
+      ++pairs;
+    } else if (ctrl->code == ControlMsg::kDone) {
+      EXPECT_EQ(ctrl->a, pairs);  // the announced count is what arrived
+      saw_done = true;
+      // Ack everything so far and answer with our bye: only node 0's own
+      // bye, still to come, will be left unacked.
+      send_frame(fd, /*seq=*/1, /*ack=*/next_seq, ControlMsg::kBye);
+    } else if (ctrl->code == ControlMsg::kBye) {
+      saw_bye = true;
+    }
+  }
+  const auto closed_at = std::chrono::steady_clock::now();
+  ::close(fd);
+  runner.join();
+  const auto took = std::chrono::steady_clock::now() - closed_at;
+
+  ASSERT_TRUE(result.ok) << node.error();
+  EXPECT_EQ(grace_exits(node, 0), 1);
+  EXPECT_GE(took, std::chrono::milliseconds(240));
+  EXPECT_LT(took, std::chrono::milliseconds(5'000));  // drain budget: 10 s
+  EXPECT_GT(pairs, 0u);
+  EXPECT_EQ(node.session(0).data_sent(), pairs);       // zero loss
+  EXPECT_EQ(node.session(0).dup_drops(), 0u);          // zero dup
+  EXPECT_EQ(node.session(0).data_delivered(), 0u);     // we sent no pairs
+  EXPECT_EQ(result.pairs_sent, pairs);
 }
 
 // ---- socket-level chaos (src/net/fault_inject.h, docs/FAULTS.md) -----------
