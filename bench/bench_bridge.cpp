@@ -1,12 +1,7 @@
-// Mesh transport throughput (docs/BRIDGE.md): the epoll/writev TCP path that
-// carries pairs between the OS processes of an n-system federation. One
-// in-process "node" per mesh position — its own EpollLoop, exactly like one
-// cim_bridge process — connected by real stream sockets; node 0 floods
-// PairMsg frames down the tree and every inner node forwards to its other
-// links (the IS-process's split horizon, minus the memory system). Reported
-// per mesh shape: end-to-end delivered msgs/sec and syscalls/msg across the
-// whole mesh — the coalescing win is exactly the gap between syscalls_per_msg
-// and 2.0 (one read + one write per frame, what the blocking transport paid).
+// Mesh session benches (docs/BRIDGE.md): real MeshNode pairs over localhost
+// TCP, the exact path a cim_bridge process runs. Steady-state throughput,
+// syscalls and coalescing of that path are perfbench's mesh_chain2
+// (perfbench/README.md).
 //
 // The fault_sweep row prices the crash-tolerance layer (docs/FAULTS.md): a
 // 2-node session mesh takes repeated injected socket kills; reported are the
@@ -25,11 +20,9 @@
 // difference of noisy absolute throughputs is too jittery to gate, the row
 // exists so the overhead stays *visible*.
 #include <sys/resource.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,123 +33,18 @@
 
 #include "bench_report.h"
 #include "common/check.h"
-#include "interconnect/pair_msg.h"
 #include "interconnect/topology.h"
 #include "mesh/mesh_node.h"
-#include "net/epoll_loop.h"
 #include "net/fault_inject.h"
-#include "net/tcp_link.h"
-#include "stats/table.h"
 
 namespace {
 
 using namespace cim;
 
-constexpr std::size_t kMessages = 100'000;  // flooded from node 0
-
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-net::MessagePtr make_pair_msg(std::uint32_t seq) {
-  auto msg = std::make_unique<isc::PairMsg>();
-  msg->var = VarId{static_cast<std::uint16_t>(seq % 8)};
-  msg->value = Value{seq};
-  msg->write_id = WriteId::make(ProcId{SystemId{0}, 0}, seq);
-  return msg;
-}
-
-// One mesh position: an epoll loop plus one transport per incident edge —
-// the exact I/O topology of a cim_bridge process, minus the memory system.
-struct Node {
-  net::EpollLoop loop;
-  std::vector<std::unique_ptr<net::TcpLinkTransport>> links;
-  std::atomic<std::uint64_t> delivered{0};
-};
-
-struct ShapeResult {
-  double msgs_per_sec = 0;
-  double syscalls_per_msg = 0;
-  double coalesced_frac = 0;
-};
-
-ShapeResult run_shape(const isc::Topology& topo) {
-  const std::size_t n = topo.nodes;
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (std::size_t i = 0; i < n; ++i) nodes.push_back(std::make_unique<Node>());
-
-  // Connect every edge with a stream socketpair and hang one transport off
-  // each endpoint's loop. links[i][k] talks to topo.neighbors(i)[k].
-  std::vector<std::vector<std::size_t>> nbrs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nbrs[i] = topo.neighbors(i);
-    nodes[i]->links.resize(nbrs[i].size());
-  }
-  for (const isc::TopologyEdge& e : topo.edges) {
-    int fds[2];
-    CIM_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
-    auto slot = [&](std::size_t node, std::size_t peer) -> std::size_t {
-      for (std::size_t k = 0; k < nbrs[node].size(); ++k)
-        if (nbrs[node][k] == peer) return k;
-      CIM_CHECK(false);
-      return 0;
-    };
-    nodes[e.a]->links[slot(e.a, e.b)] = std::make_unique<net::TcpLinkTransport>(
-        fds[0], nodes[e.a]->loop);
-    nodes[e.b]->links[slot(e.b, e.a)] = std::make_unique<net::TcpLinkTransport>(
-        fds[1], nodes[e.b]->loop);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes[i]->loop.start();
-    Node* node = nodes[i].get();
-    for (std::size_t k = 0; k < node->links.size(); ++k) {
-      node->links[k]->start([node, k](net::MessagePtr msg) {
-        node->delivered.fetch_add(1, std::memory_order_relaxed);
-        // Split horizon: forward to every other link. Runs on the loop
-        // thread — the transport's inline-flush path.
-        for (std::size_t other = 0; other < node->links.size(); ++other) {
-          if (other != k) node->links[other]->send(msg->clone());
-        }
-      });
-    }
-  }
-
-  // Flood from node 0 (a foreign thread — the bounded-queue path) and wait
-  // for every message to reach every other node exactly once.
-  const std::uint64_t expected = kMessages * (n - 1);
-  const double t0 = now_s();
-  for (std::size_t s = 0; s < kMessages; ++s) {
-    net::MessagePtr msg = make_pair_msg(static_cast<std::uint32_t>(s));
-    for (auto& link : nodes[0]->links) link->send(msg->clone());
-  }
-  std::uint64_t total = 0;
-  while (total < expected) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    total = 0;
-    for (const auto& node : nodes) total += node->delivered.load();
-  }
-  const double elapsed = now_s() - t0;
-
-  std::uint64_t syscalls = 0, frames = 0, coalesced = 0;
-  for (const auto& node : nodes) {
-    for (const auto& link : node->links) {
-      syscalls += link->syscalls_read() + link->syscalls_write();
-      frames += link->frames_sent();
-      coalesced += link->frames_coalesced();
-    }
-  }
-  for (auto& node : nodes) node->loop.stop();
-
-  ShapeResult res;
-  res.msgs_per_sec = static_cast<double>(total) / elapsed;
-  res.syscalls_per_msg =
-      static_cast<double>(syscalls) / static_cast<double>(frames);
-  res.coalesced_frac =
-      static_cast<double>(coalesced) / static_cast<double>(frames);
-  return res;
 }
 
 struct FaultSweepResult {
@@ -332,28 +220,6 @@ ObsMeshResult run_obs_mesh(std::uint16_t base_port, int stats_interval_ms) {
 
 int main() {
   bench::JsonReport report("bridge");
-  report.meta("messages", std::uint64_t{kMessages});
-  stats::Table table(
-      {"mesh", "Mmsg/s", "syscalls/msg", "coalesced"});
-
-  const std::pair<const char*, isc::Topology> shapes[] = {
-      {"chain_2", isc::make_chain(2)},
-      {"btree_4", isc::make_btree(4)},
-      {"btree_8", isc::make_btree(8)},
-  };
-  for (const auto& [label, topo] : shapes) {
-    const ShapeResult res = run_shape(topo);
-    report.row(label)
-        .field("msgs_per_sec", res.msgs_per_sec)
-        .field("syscalls_per_msg", res.syscalls_per_msg)
-        .field("coalesced_frac", res.coalesced_frac);
-    char rate[32], sys[32], coal[32];
-    std::snprintf(rate, sizeof(rate), "%.2f", res.msgs_per_sec / 1e6);
-    std::snprintf(sys, sizeof(sys), "%.3f", res.syscalls_per_msg);
-    std::snprintf(coal, sizeof(coal), "%.2f", res.coalesced_frac);
-    table.add_row(label, rate, sys, coal);
-  }
-  table.print();
 
   const FaultSweepResult fs = run_fault_sweep(9915);
   report.row("fault_sweep")

@@ -79,7 +79,7 @@ else
       "topology hash" "writev" "heartbeat" "rejoin" "replay journal" \
       "--resume" "backoff" "StatsFrame" "--stats-interval" "--fed-metrics" \
       "cim_top" "fed.node" "stats_parent" "closing handshake" \
-      "acked immediately" "empty send queue" "grace_exits"; do
+      "acked immediately" "owed acks written" "grace_exits"; do
     if ! grep -q -- "$word" "$bridge_doc"; then
       echo "check_docs: '${word}' is not documented in docs/BRIDGE.md" >&2
       status=1

@@ -58,12 +58,23 @@ void LinkSession::restore(const SpillLinkState& s) {
 }
 
 void LinkSession::attach_locked(int fd) {
-  transport_ =
-      std::make_unique<net::TcpLinkTransport>(fd, loop_, nullptr, cfg_.link);
-  transport_->start_frames([this](std::unique_ptr<net::TransportFrame> f) {
-    on_frame(std::move(f));
-  });
-  socket_dead_ = false;
+  transport_ = std::make_unique<net::TcpLinkTransport>(fd, loop_, cfg_.faults);
+  transport_->start(
+      [this](std::unique_ptr<net::TransportFrame> f) { on_frame(std::move(f)); },
+      [this] { flush(); });
+  flush_armed_ = false;
+  post_flush_locked();
+}
+
+void LinkSession::bury_locked() {
+  if (transport_ == nullptr) return;
+  transport_->close();
+  graveyard_.push_back(std::move(transport_));
+  // A new incarnation starts on a frame boundary; a torn frame is replayed
+  // whole from the journal, a torn control frame is simply dropped.
+  wire_off_ = 0;
+  ctl_buf_.clear();
+  ctl_off_ = 0;
 }
 
 void LinkSession::start(int fd, DeliverFn deliver) {
@@ -78,7 +89,6 @@ void LinkSession::start(int fd, DeliverFn deliver) {
       // degrades until the peer's rejoin lands on the node's listener.
       state_ = LinkState::kDegraded;
       degraded_since_ns_ = steady_ns();
-      socket_dead_ = true;
     }
   }
   arm_tick();
@@ -89,14 +99,7 @@ void LinkSession::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
-    // Closing the live transport marks its stream dead, which unblocks any
-    // thread sitting in a blocking send_bytes (replay against a stalled
-    // peer) — without this, join()ing such a thread could hang forever.
-    if (transport_ != nullptr) {
-      transport_->close();
-      graveyard_.push_back(std::move(transport_));
-      socket_dead_ = true;
-    }
+    bury_locked();
     journal_cv_.notify_all();
     reconnect_cv_.notify_all();
   }
@@ -111,31 +114,39 @@ void LinkSession::begin_shutdown() {
 bool LinkSession::drained() const {
   std::lock_guard<std::mutex> lock(mutex_);
   // Both halves of the closing handshake: the peer acked everything we sent
-  // (journal empty), and the acks we owe it have left the send queue — so
-  // closing now cannot strand a peer that waits on one. A dead stream owes
-  // nothing more.
+  // (journal empty), and the acks we owe it are written — so closing now
+  // cannot strand a peer that waits on one. A dead stream owes nothing more.
   return journal_.empty() &&
          (transport_ == nullptr || transport_->peer_closed() ||
-          transport_->backlog() == 0);
+          (ctl_buf_.empty() && !ack_owed_ && !hb_owed_));
 }
 
 void LinkSession::handle_ack_locked(std::uint64_t ack) {
   if (ack <= acked_) return;
-  while (!journal_.empty() && journal_.front().seq < ack) {
-    journal_bytes_ -= journal_.front().bytes.size();
-    journal_.pop_front();
+  if (ack > send_next_) {
+    // Trusting it would pop unsent frames — pairs silently lost — and make
+    // every later real ack look stale, so the drain could only time out.
+    fail_locked("session: ack for a frame never sent");
+    return;
   }
   acked_ = ack;
   if (spill_ != nullptr) spill_->record_acked(cfg_.link_index, acked_);
-  journal_cv_.notify_all();
+  trim_locked();
+}
+
+void LinkSession::trim_locked() {
+  bool popped = false;
+  while (!journal_.empty() && journal_.front().seq < acked_ &&
+         (journal_.front().seq != wire_next_ || wire_off_ == 0)) {
+    journal_bytes_ -= journal_.front().bytes.size();
+    journal_.pop_front();
+    popped = true;
+  }
+  if (popped) journal_cv_.notify_all();
 }
 
 void LinkSession::retire_locked() {
-  if (transport_ != nullptr) {
-    transport_->close();
-    graveyard_.push_back(std::move(transport_));
-  }
-  socket_dead_ = true;
+  bury_locked();
   if (state_ == LinkState::kUp) {
     state_ = LinkState::kDegraded;
     degraded_since_ns_ = steady_ns();
@@ -147,79 +158,149 @@ void LinkSession::fail_locked(const char* why) {
   if (state_ == LinkState::kFailed) return;
   state_ = LinkState::kFailed;
   error_ = why;
-  if (transport_ != nullptr) {
-    transport_->close();
-    graveyard_.push_back(std::move(transport_));
-  }
-  socket_dead_ = true;
+  bury_locked();
   journal_cv_.notify_all();
   reconnect_cv_.notify_all();
 }
 
 void LinkSession::send(net::MessagePtr msg) {
-  std::vector<std::uint8_t> buf;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // The journal bound IS the backpressure while the link is down: the
-    // sender (engine thread) blocks here until the peer's ACKs make room
-    // again — bounded buffering, not unbounded growth, not a dead node.
+  std::unique_lock<std::mutex> lock(mutex_);
+  // The journal bound IS the backpressure: the sender (engine thread) blocks
+  // here until the peer's ACKs make room again — bounded buffering, not
+  // unbounded growth, not a dead node, however long the link is down.
+  if (journal_full_locked()) {
+    ++queue_full_stalls_;
     journal_cv_.wait(lock, [this] {
-      return (journal_.size() < cfg_.journal_max_frames &&
-              journal_bytes_ < cfg_.journal_max_bytes) ||
-             state_ == LinkState::kFailed || stopped_;
+      return !journal_full_locked() || state_ == LinkState::kFailed ||
+             stopped_;
     });
-    if (state_ == LinkState::kFailed || stopped_) return;
-
-    const bool is_ctrl = std::strcmp(msg->type_name(), "wire.ctrl") == 0;
-    // Stats frames ride the session like control traffic: journaled and
-    // replayed for FIFO integrity, but excluded from the pair accounting the
-    // done/bye convergecast drains against (docs/BRIDGE.md).
-    const bool is_meta =
-        is_ctrl || std::strcmp(msg->type_name(), "wire.stats") == 0;
-    std::uint8_t ctrl_code = 0;
-    if (is_ctrl) ctrl_code = static_cast<const ControlMsg&>(*msg).code;
-
-    net::TransportFrame frame;
-    frame.seq = send_next_++;
-    frame.ack = recv_expected_;
-    frame.payload = std::move(msg);
-    net::wire::encode(frame, buf);
-
-    if (!is_meta) ++data_sent_;
-    journal_bytes_ += buf.size();
-    journal_.push_back(Entry{frame.seq, buf});
-    if (spill_ != nullptr) {
-      spill_->record_sent(cfg_.link_index, data_sent_, buf.data(), buf.size());
-      if (is_ctrl && (ctrl_code == ControlMsg::kDone ||
-                      ctrl_code == ControlMsg::kBye))
-        spill_->record_ctrl_sent(cfg_.link_index, ctrl_code);
-    }
   }
-  pump_wire();
+  if (state_ == LinkState::kFailed || stopped_) return;
+
+  const bool is_ctrl = std::strcmp(msg->type_name(), "wire.ctrl") == 0;
+  // Stats frames ride the session like control traffic: journaled and
+  // replayed for FIFO integrity, but excluded from the pair accounting the
+  // done/bye convergecast drains against (docs/BRIDGE.md).
+  const bool is_meta =
+      is_ctrl || std::strcmp(msg->type_name(), "wire.stats") == 0;
+  std::uint8_t ctrl_code = 0;
+  if (is_ctrl) ctrl_code = static_cast<const ControlMsg&>(*msg).code;
+
+  net::TransportFrame frame;
+  frame.seq = send_next_++;
+  frame.ack = recv_expected_;
+  frame.payload = std::move(msg);
+  journal_.push_back(Entry{frame.seq, {}});
+  std::vector<std::uint8_t>& buf = journal_.back().bytes;
+  net::wire::encode(frame, buf);
+
+  if (!is_meta) ++data_sent_;
+  journal_bytes_ += buf.size();
+  if (spill_ != nullptr) {
+    spill_->record_sent(cfg_.link_index, data_sent_, buf.data(), buf.size());
+    if (is_ctrl && (ctrl_code == ControlMsg::kDone ||
+                    ctrl_code == ControlMsg::kBye))
+      spill_->record_ctrl_sent(cfg_.link_index, ctrl_code);
+  }
+  if (loop_.on_loop_thread()) {
+    flush_locked();
+  } else {
+    post_flush_locked();
+  }
 }
 
-void LinkSession::pump_wire() {
-  // Single holder: whoever gets here first drains everything pending, in seq
-  // order — a second sender arriving mid-drain finds nothing left to do.
-  // Holding wire_mutex_ (never mutex_) across the blocking send keeps the
-  // heartbeat tick and on_frame live while this thread is backpressured.
-  std::lock_guard<std::mutex> wire_lock(wire_mutex_);
+void LinkSession::post_flush_locked() {
+  if (flush_armed_ || transport_ == nullptr) return;
+  flush_armed_ = true;
+  loop_.post([this] { flush(); });
+}
+
+void LinkSession::flush() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  flush_locked();
+}
+
+void LinkSession::encode_ctl_locked() {
+  net::TransportFrame f;
+  f.ack = recv_expected_;
+  if (hb_owed_) {
+    // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest heartbeat
+    // send time and our receive time of it, stamp our own send time. Data
+    // frames and done/bye acks never carry these, so only heartbeats pay
+    // the 24-byte v2 tail.
+    f.ts_orig = peer_hb_tx_;
+    f.ts_rx = static_cast<std::uint64_t>(peer_hb_rx_ns_);
+    f.ts_tx = static_cast<std::uint64_t>(steady_ns());
+  }
+  net::wire::encode(f, ctl_buf_);
+  ctl_hb_ = hb_owed_;
+  ack_owed_ = false;
+  hb_owed_ = false;
+}
+
+void LinkSession::flush_locked() {
+  flush_armed_ = false;
+  net::TcpLinkTransport* t = transport_.get();
+  // A dead stream takes no more bytes: the journal keeps everything unacked
+  // and the next rejoin rewinds wire_next_.
+  if (t == nullptr || t->peer_closed()) return;
+  constexpr std::size_t kMaxIov = net::TcpLinkTransport::kMaxIov;
   while (true) {
-    std::vector<std::uint8_t> bytes;
-    net::TcpLinkTransport* t = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (socket_dead_ || transport_ == nullptr || journal_.empty()) return;
-      const std::uint64_t front = journal_.front().seq;
-      if (wire_next_ < front) wire_next_ = front;  // acked under our feet
-      if (wire_next_ > journal_.back().seq) return;
-      bytes = journal_[wire_next_ - front].bytes;
-      ++wire_next_;
-      t = transport_.get();
+    const std::uint64_t front =
+        journal_.empty() ? send_next_ : journal_.front().seq;
+    if (wire_next_ < front) wire_next_ = front;  // acked under our feet
+    if (ctl_buf_.empty() && (ack_owed_ || hb_owed_)) encode_ctl_locked();
+
+    // Batch order: the torn frame (if any), the control frame, then the
+    // journal tail. A pure ACK carries no seq, so it may pass data frames.
+    iovec iov[kMaxIov];
+    std::size_t n = 0;
+    std::size_t ctl_at = kMaxIov;  // batch slot of the control frame
+    const auto add_ctl = [&] {
+      iov[n].iov_base = ctl_buf_.data() + ctl_off_;
+      iov[n].iov_len = ctl_buf_.size() - ctl_off_;
+      ctl_at = n++;
+    };
+    if (!ctl_buf_.empty() && wire_off_ == 0) add_ctl();
+    for (std::uint64_t seq = wire_next_; seq < send_next_ && n < kMaxIov;
+         ++seq) {
+      std::vector<std::uint8_t>& b = journal_[seq - front].bytes;
+      const std::size_t off = seq == wire_next_ ? wire_off_ : 0;
+      iov[n].iov_base = b.data() + off;
+      iov[n].iov_len = b.size() - off;
+      ++n;
+      if (!ctl_buf_.empty() && ctl_at == kMaxIov && n < kMaxIov) add_ctl();
     }
-    // A failed send just means the socket died mid-frame: the journal still
-    // holds everything unacked and the next rejoin rewinds wire_next_.
-    if (!t->send_bytes(bytes.data(), bytes.size(), true)) return;
+    if (n == 0) return;
+
+    const ssize_t written = t->write(iov, n);
+    if (written < 0) return;  // stream failed: the tick retires it
+    std::size_t left = static_cast<std::size_t>(written);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      total += iov[i].iov_len;
+      const std::size_t took = std::min(left, iov[i].iov_len);
+      left -= took;
+      if (took == 0) continue;
+      const bool whole = took == iov[i].iov_len;
+      if (i == ctl_at) {
+        ctl_off_ = whole ? 0 : ctl_off_ + took;
+        if (whole) ctl_buf_.clear();
+      } else if (whole) {
+        ++wire_next_;
+        wire_off_ = 0;
+      } else {
+        wire_off_ += took;
+      }
+    }
+    // A torn frame the peer acked meanwhile is complete now: pop it.
+    if (!journal_.empty() && journal_.front().seq < acked_) trim_locked();
+    if (static_cast<std::size_t>(written) < total) {
+      // Socket full (or an injected stall): the EPOLLOUT edge or the next
+      // tick resumes us.
+      flush_armed_ = true;
+      return;
+    }
   }
 }
 
@@ -228,6 +309,7 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     handle_ack_locked(frame->ack);
+    if (state_ == LinkState::kFailed) return;
     if (frame->ts_tx != 0) {
       // Heartbeat timestamps (wire transport v2). With the echo fields set
       // this frame completes an NTP four-timestamp exchange:
@@ -290,16 +372,12 @@ void LinkSession::on_frame(std::unique_ptr<net::TransportFrame> frame) {
       if (closing)
         spill_->record_ctrl_delivered(cfg_.link_index, ctrl->code, ctrl->a);
     }
-    if (closing && transport_ != nullptr) {
+    if (closing) {
       // Closing handshake (docs/BRIDGE.md "Termination"): ack done/bye now,
       // not on the next heartbeat — the peer's final drain waits on exactly
-      // this ack. A pure-ACK frame without the heartbeat's timestamp tail;
-      // on the loop thread send_bytes flushes it inline.
-      net::TransportFrame ack;
-      ack.ack = recv_expected_;
-      std::vector<std::uint8_t> buf;
-      net::wire::encode(ack, buf);
-      transport_->send_bytes(buf.data(), buf.size(), false);
+      // this ack. A pure-ACK frame without the heartbeat's timestamp tail.
+      ack_owed_ = true;
+      flush_locked();
     }
     payload = std::move(frame->payload);
   }
@@ -321,9 +399,7 @@ void LinkSession::tick() {
       if (t->error() != nullptr || t->peer_closed()) {
         if (shutdown_ && journal_.empty()) {
           // Clean goodbye during the final drain: retire quietly, stay kUp.
-          transport_->close();
-          graveyard_.push_back(std::move(transport_));
-          socket_dead_ = true;
+          bury_locked();
         } else {
           retire_locked();
         }
@@ -342,28 +418,15 @@ void LinkSession::tick() {
           state_ = LinkState::kUp;
           ++resumes_;
         }
-        if (t->backlog() < 16) {
-          // Heartbeat: a pure-ACK frame, the steady-state ack carrier when
-          // no data frame flows back (done/bye are acked at once instead,
-          // see on_frame).
-          net::TransportFrame hb;
-          hb.ack = recv_expected_;
-          // NTP exchange (docs/OBSERVABILITY.md): echo the peer's latest
-          // heartbeat send time and our receive time of it, stamp our own
-          // send time. Data frames never carry these, so only heartbeats
-          // pay the 24-byte v2 tail.
-          hb.ts_orig = peer_hb_tx_;
-          hb.ts_rx = static_cast<std::uint64_t>(peer_hb_rx_ns_);
-          hb.ts_tx = static_cast<std::uint64_t>(now);
-          std::vector<std::uint8_t> buf;
-          net::wire::encode(hb, buf);
-          t->send_bytes(buf.data(), buf.size(), false);
-        } else {
-          // Deep backlog: re-post a flush in case the armed flusher stalled
-          // without a pending EPOLLOUT edge (a cleared injected stall, a
-          // missed edge) — the tick doubles as the flusher's watchdog.
-          t->kick();
-        }
+        // Heartbeat: a pure-ACK frame, the steady-state ack carrier when no
+        // data frame flows back (done/bye are acked at once instead, see
+        // on_frame). It supersedes a pure ACK still waiting unwritten (it
+        // carries the ack too); a waiting heartbeat keeps its stamps, so a
+        // stall shows as RTT. The flush doubles as the flusher's watchdog:
+        // a cleared injected stall or a missed EPOLLOUT edge resumes here.
+        if (ctl_off_ == 0 && !ctl_hb_) ctl_buf_.clear();
+        if (ctl_buf_.empty()) hb_owed_ = true;
+        flush_locked();
       }
     }
     if (state_ == LinkState::kDegraded && cfg_.degraded_timeout_ms > 0 &&
@@ -412,12 +475,13 @@ void LinkSession::reconnect_main() {
   while (!stopped_) {
     reconnect_cv_.wait(lock, [this] {
       return stopped_ ||
-             (socket_dead_ && state_ != LinkState::kFailed &&
+             (transport_ == nullptr && state_ != LinkState::kFailed &&
               (!shutdown_ || !journal_.empty()));
     });
     if (stopped_) break;
     int attempt = 0;
-    while (!stopped_ && socket_dead_ && state_ != LinkState::kFailed) {
+    while (!stopped_ && transport_ == nullptr &&
+           state_ != LinkState::kFailed) {
       // Capped exponential backoff with deterministic jitter so two dialers
       // sharing a host never re-dial in lockstep.
       const int shift = std::min(attempt, 10);
@@ -426,10 +490,10 @@ void LinkSession::reconnect_main() {
       delay += static_cast<std::int64_t>(splitmix64(jitter_state_) %
                                          (static_cast<std::uint64_t>(delay) / 2 + 1));
       reconnect_cv_.wait_for(lock, std::chrono::milliseconds(delay), [this] {
-        return stopped_ || !socket_dead_;
+        return stopped_ || transport_ != nullptr;
       });
       // A final drain with nothing left to replay has no use for a socket.
-      if (stopped_ || !socket_dead_ || state_ == LinkState::kFailed ||
+      if (stopped_ || transport_ != nullptr || state_ == LinkState::kFailed ||
           (shutdown_ && journal_.empty()))
         break;
       const std::uint64_t delivered = recv_expected_;
@@ -459,26 +523,27 @@ void LinkSession::reconnect_main() {
 }
 
 void LinkSession::resume_with_socket(int fd, std::uint64_t peer_delivered) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_ || state_ == LinkState::kFailed) {
-      ::close(fd);
-      return;
-    }
-    if (!socket_dead_) retire_locked();  // superseded incarnation
-    handle_ack_locked(peer_delivered);
-    attach_locked(fd);
-    // Rewind the wire cursor to the first unacked frame: the pump's next
-    // drain IS the replay, and because the pump is the only path to the
-    // wire, no concurrently-sent fresh frame can jump ahead of it.
-    wire_next_ = journal_.empty() ? send_next_ : journal_.front().seq;
-    state_ = LinkState::kUp;
-    ++resumes_;
-    journal_cv_.notify_all();
-    reconnect_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopped_ || state_ == LinkState::kFailed) {
+    ::close(fd);
+    return;
   }
-  // Duplicates (an ack racing the replay) die at the peer's receive cursor.
-  pump_wire();
+  if (transport_ != nullptr) retire_locked();  // superseded incarnation
+  handle_ack_locked(peer_delivered);
+  if (state_ == LinkState::kFailed) {
+    ::close(fd);
+    return;
+  }
+  // Rewind the wire cursor to the first unacked frame: the next flush IS the
+  // replay, and because the flusher is the only path to the wire, no
+  // concurrently-sent fresh frame can jump ahead of it. Duplicates (an ack
+  // racing the replay) die at the peer's receive cursor.
+  wire_next_ = journal_.empty() ? send_next_ : journal_.front().seq;
+  attach_locked(fd);
+  state_ = LinkState::kUp;
+  ++resumes_;
+  journal_cv_.notify_all();
+  reconnect_cv_.notify_all();
 }
 
 std::size_t LinkSession::backlog() const {
@@ -523,9 +588,7 @@ std::uint64_t LinkSession::frames_coalesced() const {
 
 std::uint64_t LinkSession::queue_full_stalls() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t n = transport_ ? transport_->queue_full_stalls() : 0;
-  for (const auto& g : graveyard_) n += g->queue_full_stalls();
-  return n;
+  return queue_full_stalls_;
 }
 
 LinkState LinkSession::state() const {
@@ -545,7 +608,7 @@ std::uint64_t LinkSession::recv_expected() const {
 
 bool LinkSession::connected() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return !socket_dead_;
+  return transport_ != nullptr;
 }
 
 std::uint64_t LinkSession::data_sent() const {

@@ -10,8 +10,10 @@
 //    in-sim ReliableTransport uses (net/reliable_transport.h), so the wire
 //    is unchanged and a capture decodes with the same codec.
 //  * Sent frames stay in a bounded replay journal until the peer's ACK
-//    covers them; the journal doubles as the backpressure bound while a link
-//    is down (senders block against it — degraded, not dead).
+//    covers them. The journal is also the edge's only send queue: a single
+//    flusher on the loop thread gathers writev batches straight from it,
+//    and its bound is the only backpressure (senders block against it —
+//    while a link is down too: degraded, not dead).
 //  * A heartbeat tick on the shared EpollLoop sends pure-ACK frames and
 //    watches the transport's last_rx_ns: a silent peer (SIGSTOP, stall)
 //    flips the link to kDegraded (net.mesh.<peer>.{down,hb_miss} gauges)
@@ -30,14 +32,14 @@
 //    after a kill -9.
 //
 // Threading: send() may be called from any non-loop thread (engine,
-// convergecast) and blocks against the journal bound. on_frame and the
-// heartbeat tick run on the loop thread. The reconnect thread owns re-dials.
-// The session mutex is never held across a blocking transport send — the
-// tick must stay live while a sender is backpressured (the SIGSTOP case).
-// All journaled frames reach the wire through pump_wire(), a single-holder
-// drain of the journal tail under its own wire mutex: concurrent senders
-// (and a rejoin replay racing them) would otherwise emit seq-stamped frames
-// out of order, which the peer must treat as a fatal sequence gap.
+// convergecast) and blocks against the journal bound — the only blocking
+// point; it stamps, encodes and journals the frame and posts one flush task
+// per burst. on_frame, the heartbeat tick and the flusher run on the loop
+// thread. The reconnect thread owns re-dials. Every frame reaches the wire
+// through flush_locked(), in seq order, so concurrent senders and a rejoin
+// replay cannot reorder the stream. The flusher holds the session mutex
+// across its nonblocking writev: the iovecs point into journal entries,
+// which an ack (a rejoin cursor on another thread, too) would otherwise pop.
 #pragma once
 
 #include <condition_variable>
@@ -52,6 +54,7 @@
 
 #include "mesh/spill.h"
 #include "net/epoll_loop.h"
+#include "net/fault_inject.h"
 #include "net/link_transport.h"
 #include "net/tcp_link.h"
 #include "net/wire.h"
@@ -80,13 +83,17 @@ struct SessionConfig {
   /// Dial attempts per outage before the session fails (<= 0: unbounded).
   int reconnect_attempts = 40;
   int handshake_timeout_ms = 2000;
-  std::size_t journal_max_frames = 4096;
-  std::size_t journal_max_bytes = std::size_t{4} << 20;
-  net::TcpLinkConfig link;
+  /// Borrowed chaos switchboard for every socket incarnation; null = none.
+  net::FaultHooks* faults = nullptr;
 };
 
 class LinkSession final : public net::LinkTransport {
  public:
+  /// The replay journal's bound: unacked frames a sender may run ahead of
+  /// the peer before it blocks (docs/BRIDGE.md "Transport").
+  static constexpr std::size_t kJournalMaxFrames = 4096;
+  static constexpr std::size_t kJournalMaxBytes = std::size_t{4} << 20;
+
   /// Payload delivery (loop thread), exactly once per payload per session
   /// lifetime — crashes included, via the spill journal's receive cursor.
   using DeliverFn = std::function<void(net::MessagePtr)>;
@@ -117,9 +124,9 @@ class LinkSession final : public net::LinkTransport {
 
   /// The closing handshake is complete on our side: every sent frame is
   /// acknowledged (the replay journal is empty) and every ack we owe the
-  /// peer has left the live transport's send queue. done/bye frames are
-  /// acked the moment they are delivered, so a fault-free drain takes one
-  /// round trip, not a heartbeat.
+  /// peer is written to the live socket. done/bye frames are acked the
+  /// moment they are delivered, so a fault-free drain takes one round trip,
+  /// not a heartbeat.
   bool drained() const;
 
   /// Join the reconnect thread. Call before the loop stops.
@@ -169,6 +176,7 @@ class LinkSession final : public net::LinkTransport {
   std::uint64_t syscalls_read() const;
   std::uint64_t syscalls_write() const;
   std::uint64_t frames_coalesced() const;
+  /// Times a sender stalled against the journal bound.
   std::uint64_t queue_full_stalls() const;
 
  private:
@@ -178,15 +186,29 @@ class LinkSession final : public net::LinkTransport {
   };
 
   void on_frame(std::unique_ptr<net::TransportFrame> frame);
-  /// Write journal entries from wire_next_ up in seq order to the live
-  /// transport. Any thread; blocks against the transport's bounded queue
-  /// while holding wire_mutex_ (never mutex_ — see the threading note).
-  void pump_wire();
+  /// Loop thread: write the owed control frame and the journal from
+  /// wire_next_ on to the live socket, in kMaxIov batches, until everything
+  /// is written or the socket is full (the EPOLLOUT edge or the next tick
+  /// resumes it).
+  void flush_locked();
+  void flush();  // flush_locked() under the session mutex
+  /// Any thread: make sure a flush runs on the loop thread soon — one task
+  /// per burst, so frames journaled meanwhile share its writev batches.
+  void post_flush_locked();
+  void encode_ctl_locked();  // owed ack/heartbeat -> ctl_buf_
   void tick();
   void arm_tick();
   void handle_ack_locked(std::uint64_t ack);
+  /// Pop acked journal entries, except one torn mid-write on the live
+  /// socket: the rest of its bytes must still follow.
+  void trim_locked();
+  bool journal_full_locked() const {
+    return journal_.size() >= kJournalMaxFrames ||
+           journal_bytes_ >= kJournalMaxBytes;
+  }
   void retire_locked();  // current transport died: degrade + wake the dialer
   void fail_locked(const char* why);
+  void bury_locked();          // close the live transport, keep it for stats
   void attach_locked(int fd);  // new transport incarnation, registered
   void reconnect_main();
   int dial_and_rejoin(std::uint64_t delivered, std::uint64_t& peer_delivered,
@@ -204,7 +226,6 @@ class LinkSession final : public net::LinkTransport {
   const char* error_ = nullptr;
   bool shutdown_ = false;
   bool stopped_ = false;
-  bool socket_dead_ = true;  // no live transport incarnation
 
   // Session cursors (mutex_). Persisted via spill_.
   std::uint64_t send_next_ = 0;      // next seq to stamp
@@ -214,18 +235,29 @@ class LinkSession final : public net::LinkTransport {
   std::uint64_t data_delivered_ = 0;
   std::deque<Entry> journal_;        // unacked frames, seq ascending
   std::size_t journal_bytes_ = 0;
-  /// Next seq to put on the wire (mutex_). Reset to the journal front by a
-  /// rejoin — that IS the replay. Claimed optimistically: if the socket dies
-  /// mid-send the journal still holds the frame and the next rejoin rewinds.
-  std::uint64_t wire_next_ = 0;
-  /// Serializes transport writes of seq-stamped frames (see pump_wire).
-  std::mutex wire_mutex_;
   std::int64_t degraded_since_ns_ = 0;
+
+  // Flusher state (mutex_), per socket incarnation. At most one frame is
+  // torn mid-write at a time, and it leads the next batch.
+  /// Next seq to put on the wire. Reset to the journal front by a rejoin —
+  /// that IS the replay.
+  std::uint64_t wire_next_ = 0;
+  std::size_t wire_off_ = 0;  // bytes of frame wire_next_ already written
+  /// The owed pure-ACK/heartbeat frame (empty: none in progress), encoded
+  /// once the slot is free. The tick replaces an unwritten pure ACK with a
+  /// heartbeat, which carries the ack too.
+  std::vector<std::uint8_t> ctl_buf_;
+  std::size_t ctl_off_ = 0;
+  bool ctl_hb_ = false;       // ctl_buf_ holds a heartbeat, not a pure ACK
+  bool ack_owed_ = false;     // a delivered done/bye wants its ack now
+  bool hb_owed_ = false;      // the tick wants a heartbeat on the wire
+  bool flush_armed_ = false;  // a flush task, EPOLLOUT edge or tick will run
 
   // Gauges (mutex_).
   std::uint64_t hb_miss_ = 0;
   std::uint64_t resumes_ = 0;
   std::uint64_t dup_drops_ = 0;
+  std::uint64_t queue_full_stalls_ = 0;
 
   // NTP four-timestamp state (mutex_). The peer's latest heartbeat send
   // time (peer clock) and our local receive time of it are echoed back on

@@ -437,8 +437,7 @@ MeshResult MeshNode::run() {
     sc.backoff_initial_ms = cfg_.backoff_initial_ms;
     sc.backoff_max_ms = cfg_.backoff_max_ms;
     sc.reconnect_attempts = cfg_.reconnect_attempts;
-    sc.link = cfg_.link;
-    sc.link.faults = cfg_.faults;
+    sc.faults = cfg_.faults;
     sessions_.push_back(
         std::make_unique<LinkSession>(std::move(sc), loop_, spill));
     if (cfg_.resume) sessions_[e]->restore(restored_.links[e]);
@@ -493,6 +492,10 @@ MeshResult MeshNode::run() {
   bool stats_stop = false;
   std::deque<std::unique_ptr<net::wire::StatsFrame>> stats_relay;
   std::thread stats_thread;
+  // Set once our last closing frame to the parent is sent (send_closing
+  // below); the pump sends nothing to the parent after that.
+  std::mutex parent_mutex;
+  bool parent_closed = false;  // parent_mutex
 
   // The engine must accept posts before any transport can deliver: a fast
   // peer may flood pairs the moment its own join completes.
@@ -634,8 +637,12 @@ MeshResult MeshNode::run() {
           // send() blocks against the journal bound while the parent link is
           // down — that is this thread's backpressure, and stop() unblocks
           // it. Own sample last: children's snapshots stay older than ours.
-          for (auto& fr : forward) sessions_[stats_parent_e]->send(std::move(fr));
-          if (do_sample) sessions_[stats_parent_e]->send(sample_stats());
+          std::lock_guard<std::mutex> parent_lock(parent_mutex);
+          if (!parent_closed) {
+            for (auto& fr : forward)
+              sessions_[stats_parent_e]->send(std::move(fr));
+            if (do_sample) sessions_[stats_parent_e]->send(sample_stats());
+          }
         }
         lk.lock();
       }
@@ -677,13 +684,28 @@ MeshResult MeshNode::run() {
 
   std::vector<bool> done_sent(n_links, false);
   std::vector<bool> bye_sent(n_links, false);
-  auto send_ctrl = [&](std::size_t e, std::uint8_t code, std::uint64_t a,
-                       std::uint64_t b) {
+  // done and bye are our last frames on a link: the peer closes once it
+  // holds both and its own journal is empty, so a frame after them would
+  // stay unacked in our journal and hold our drain open into the grace
+  // window. Stats to the parent therefore end at the second of the two,
+  // after the relayed frames still queued and a final own sample.
+  auto send_closing = [&](std::size_t l, std::uint8_t code, std::uint64_t a) {
+    const bool last = code == ControlMsg::kDone ? bye_sent[l] : done_sent[l];
+    if (cfg_.stats_interval_ms > 0 && l == stats_parent_e && last) {
+      std::lock_guard<std::mutex> parent_lock(parent_mutex);
+      std::deque<std::unique_ptr<net::wire::StatsFrame>> relay;
+      {
+        std::lock_guard<std::mutex> lk(stats_mutex);
+        relay.swap(stats_relay);
+      }
+      for (auto& fr : relay) sessions_[l]->send(std::move(fr));
+      sessions_[l]->send(sample_stats());
+      parent_closed = true;
+    }
     auto msg = std::make_unique<ControlMsg>();
     msg->code = code;
     msg->a = a;
-    msg->b = b;
-    sessions_[e]->send(std::move(msg));
+    sessions_[l]->send(std::move(msg));
   };
 
   // The done/bye convergecast (header comment + docs/BRIDGE.md). A dead
@@ -726,13 +748,13 @@ MeshResult MeshNode::run() {
           // link is drained, so no more forwards onto l can appear. The
           // session counts across generations, matching the peer's
           // cross-generation applied count.
-          send_ctrl(l, ControlMsg::kDone, sessions_[l]->data_sent(), 0);
+          send_closing(l, ControlMsg::kDone, sessions_[l]->data_sent());
           done_sent[l] = true;
         }
       }
       for (std::size_t l = 0; l < n_links; ++l) {
         if (!bye_sent[l] && drained(l)) {
-          send_ctrl(l, ControlMsg::kBye, 0, 0);
+          send_closing(l, ControlMsg::kBye, 0);
           bye_sent[l] = true;
         }
       }
@@ -750,7 +772,7 @@ MeshResult MeshNode::run() {
   }
 
   // Final drain: the closing handshake of every link completes (the peer
-  // acked our done/bye, and our acks of its done/bye left the send queue —
+  // acked our done/bye, and our acks of its done/bye are written —
   // LinkSession::drained), bounded by drain_timeout_ms. Both sides ack
   // done/bye on arrival, so a fault-free drain takes one round trip.
   //

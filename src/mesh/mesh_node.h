@@ -87,7 +87,6 @@ struct MeshConfig {
   int join_timeout_ms = 10'000;
   /// Dial retries (100ms apart) while a lower-id peer is not yet listening.
   int dial_retries = 100;
-  net::TcpLinkConfig link;
   bool trace = false;
 
   // ---- crash tolerance (docs/BRIDGE.md "Failure behavior") -----------------

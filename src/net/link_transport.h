@@ -14,11 +14,13 @@
 //    the whole federation runs over real bytes while staying in-process.
 //    Enabled federation-wide by FederationConfig::link_wire (or the
 //    CIM_LINK_WIRE=bytes environment knob); reports net.wire.* metrics.
-//  * TcpLinkTransport         — real sockets between OS processes
-//    (net/tcp_link.h), used by tools/cim_bridge.
+//  * mesh::LinkSession        — real sockets between OS processes
+//    (mesh/link_session.h), used by tools/cim_bridge: a crash-tolerant
+//    session whose replay journal is the edge's send queue, written to one
+//    net::TcpLinkTransport socket incarnation at a time.
 //
 // A transport delivers *inbound* messages by whatever registration its
-// construction implies (fabric receiver wiring, socket reader thread); this
+// construction implies (fabric receiver wiring, the epoll loop); this
 // interface only models the outbound half plus the lifecycle and
 // introspection hooks the interconnect and metrics layers need.
 #pragma once

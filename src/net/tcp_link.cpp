@@ -11,6 +11,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -24,12 +25,7 @@ namespace cim::net {
 
 namespace {
 
-// Frames batched into one writev call. Well below IOV_MAX everywhere; large
-// enough that an IS fan-out burst or a forwarding storm shares one syscall.
-constexpr std::size_t kMaxIov = 64;
 constexpr std::size_t kReadChunk = 64 * 1024;
-// Recycled frame buffers kept per transport (beyond this they are freed).
-constexpr std::size_t kMaxFreeBufs = 64;
 
 std::int64_t wall_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -39,7 +35,7 @@ std::int64_t wall_ns() {
 
 void set_nodelay(int fd) {
   // Mesh frames are small and latency-bound; Nagle would double-batch what
-  // the send queue already coalesces.
+  // the session's flusher already coalesces.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
@@ -48,21 +44,6 @@ void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   CIM_CHECK_MSG(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
                 "cannot set O_NONBLOCK: " << std::strerror(errno));
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    // MSG_NOSIGNAL: a vanished peer must surface as an error return, not
-    // SIGPIPE killing the bridge.
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -190,16 +171,9 @@ int tcp_connect_timeout(const char* host, std::uint16_t port, int timeout_ms) {
   return fd;
 }
 
-TcpLinkTransport::TcpLinkTransport(int fd, EpollLoop& loop,
-                                   obs::Observability* obs,
-                                   TcpLinkConfig config)
-    : fd_(fd), loop_(loop), config_(config) {
+TcpLinkTransport::TcpLinkTransport(int fd, EpollLoop& loop, FaultHooks* faults)
+    : fd_(fd), loop_(loop), faults_(faults) {
   CIM_CHECK(fd >= 0);
-  if (obs != nullptr) {
-    obs::MetricsRegistry& m = obs->metrics();
-    m_bytes_out_ = &m.counter("net.wire.bytes_out");
-    h_encode_ns_ = &m.histogram("net.wire.encode_ns");
-  }
 }
 
 TcpLinkTransport::~TcpLinkTransport() {
@@ -213,284 +187,118 @@ void TcpLinkTransport::close() {
   if (started_.load(std::memory_order_acquire)) loop_.remove(fd_);
   ::shutdown(fd_, SHUT_RDWR);
   // The fd is unregistered, so the EOF that would normally set peer_closed_
-  // will never be read — mark the stream dead here or a sender blocked on
-  // the bounded queue of a retired transport waits forever.
+  // will never be read — mark the stream dead here.
   peer_closed_.store(true, std::memory_order_release);
-  send_cv_.notify_all();  // a stalled sender must not wait on a dead stream
 }
 
-void TcpLinkTransport::register_with_loop() {
-  {
-    // Serialize with a concurrent send(): the pre-start blocking write and
-    // the switch to nonblocking must not interleave.
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    set_nonblocking(fd_);
-    started_.store(true, std::memory_order_release);
-  }
+void TcpLinkTransport::start(FrameFn on_frame, WritableFn on_writable) {
+  CIM_CHECK_MSG(!started_.load(std::memory_order_acquire),
+                "start() called twice");
+  on_frame_ = std::move(on_frame);
+  on_writable_ = std::move(on_writable);
+  set_nonblocking(fd_);
   last_rx_ns_.store(wall_ns(), std::memory_order_relaxed);
+  started_.store(true, std::memory_order_release);
   loop_.add(fd_, this);
-}
-
-void TcpLinkTransport::start(DeliverFn deliver) {
-  CIM_CHECK_MSG(!started_.load(std::memory_order_acquire),
-                "start() called twice");
-  deliver_ = std::move(deliver);
-  register_with_loop();
-}
-
-void TcpLinkTransport::start_frames(FrameFn fn) {
-  CIM_CHECK_MSG(!started_.load(std::memory_order_acquire),
-                "start() called twice");
-  frame_fn_ = std::move(fn);
-  register_with_loop();
-}
-
-void TcpLinkTransport::kick() {
-  loop_.post([this] {
-    std::unique_lock<std::mutex> lock(send_mutex_);
-    flush_locked(lock);
-  });
 }
 
 void TcpLinkTransport::fail(const char* error) {
   error_.store(error, std::memory_order_release);
   peer_closed_.store(true, std::memory_order_release);
-  send_cv_.notify_all();
 }
 
-std::size_t TcpLinkTransport::backlog() const {
-  std::lock_guard<std::mutex> lock(
-      const_cast<TcpLinkTransport*>(this)->send_mutex_);
-  return sendq_.size();
-}
-
-bool TcpLinkTransport::wait_for_room(std::unique_lock<std::mutex>& lock) {
-  // Bounded queue: a sender on a foreign thread stalls until the loop
-  // drains below the bound; the loop thread itself (a forwarding deliver
-  // callback) flushes inline instead and may overshoot the bound rather
-  // than deadlocking against its own flusher.
-  if (started_.load(std::memory_order_acquire) && !loop_.on_loop_thread() &&
-      (sendq_.size() >= config_.max_queued_frames ||
-       queued_bytes_ >= config_.max_queued_bytes)) {
-    queue_full_stalls_.fetch_add(1, std::memory_order_relaxed);
-    send_cv_.wait(lock, [this] {
-      return (sendq_.size() < config_.max_queued_frames &&
-              queued_bytes_ < config_.max_queued_bytes) ||
-             peer_closed_.load(std::memory_order_acquire);
-    });
-  }
-  return !peer_closed_.load(std::memory_order_acquire);
-}
-
-void TcpLinkTransport::send(MessagePtr msg) {
-  std::unique_lock<std::mutex> lock(send_mutex_);
-  if (!wait_for_room(lock)) return;
-
-  TransportFrame frame;
-  frame.seq = send_next_++;
-  frame.ack = recv_next_published_.load(std::memory_order_relaxed);
-  frame.payload = std::move(msg);
-
-  Buffer buf;
-  if (!free_bufs_.empty()) {
-    buf = std::move(free_bufs_.back());
-    free_bufs_.pop_back();
-    buf.clear();
-  }
-  const std::int64_t t0 = wall_ns();
-  const std::size_t frame_len = wire::encode(frame, buf);
-  const std::int64_t t1 = wall_ns();
-  if (m_bytes_out_ != nullptr) {
-    m_bytes_out_->inc(frame_len);
-    h_encode_ns_->observe(sim::Duration{t1 - t0});
-  }
-
-  if (!started_.load(std::memory_order_acquire)) {
-    // Handshake phase: the fd is still blocking and nothing else touches it.
-    if (!write_all(fd_, buf.data(), buf.size())) {
-      fail("tcp link: write failed");
-      return;
-    }
-    bytes_out_.fetch_add(frame_len, std::memory_order_relaxed);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (free_bufs_.size() < kMaxFreeBufs) free_bufs_.push_back(std::move(buf));
-    return;
-  }
-
-  enqueue_locked(lock, std::move(buf));
-}
-
-bool TcpLinkTransport::send_bytes(const std::uint8_t* data, std::size_t size,
-                                  bool block) {
-  std::unique_lock<std::mutex> lock(send_mutex_);
-  if (block) {
-    if (!wait_for_room(lock)) return false;
-  } else if (peer_closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
-
-  Buffer buf;
-  if (!free_bufs_.empty()) {
-    buf = std::move(free_bufs_.back());
-    free_bufs_.pop_back();
-    buf.clear();
-  }
-  buf.insert(buf.end(), data, data + size);
-
-  if (!started_.load(std::memory_order_acquire)) {
-    if (!write_all(fd_, buf.data(), buf.size())) {
-      fail("tcp link: write failed");
-      return false;
-    }
-    bytes_out_.fetch_add(size, std::memory_order_relaxed);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (free_bufs_.size() < kMaxFreeBufs) free_bufs_.push_back(std::move(buf));
-    return true;
-  }
-
-  enqueue_locked(lock, std::move(buf));
-  return true;
-}
-
-void TcpLinkTransport::enqueue_locked(std::unique_lock<std::mutex>& lock,
-                                      Buffer buf) {
-  queued_bytes_ += buf.size();
-  sendq_.push_back(std::move(buf));
-  if (loop_.on_loop_thread()) {
-    flush_locked(lock);
-  } else if (!flush_armed_) {
-    // One task per burst: frames enqueued while it is pending share its
-    // writev batches — this is where the syscall coalescing comes from.
-    flush_armed_ = true;
-    loop_.post([this] {
-      std::unique_lock<std::mutex> relock(send_mutex_);
-      flush_locked(relock);
-    });
-  }
-}
-
-void TcpLinkTransport::flush_locked(std::unique_lock<std::mutex>& lock) {
-  FaultHooks* hooks = config_.faults;
-  while (!sendq_.empty()) {
-    if (hooks != nullptr &&
-        hooks->stall_writes.load(std::memory_order_relaxed)) {
-      // Injected stall: behave exactly like a full kernel buffer. kick()
-      // resumes the flusher once the fault is cleared.
-      flush_armed_ = true;
-      return;
-    }
-    if (hooks != nullptr) {
-      // Loop thread only (and the pre-start handshake writes bypass this
-      // path), so a plain load/store countdown is race-free.
-      const int left = hooks->fail_writes_after.load(std::memory_order_relaxed);
+ssize_t TcpLinkTransport::write(const iovec* in, std::size_t n) {
+  CIM_CHECK(n <= kMaxIov);
+  iovec iov[kMaxIov];
+  std::copy(in, in + n, iov);
+  std::size_t first = 0;  // first buffer not yet fully written
+  std::size_t written = 0;
+  while (first < n) {
+    if (faults_ != nullptr) {
+      // Injected stall: behave exactly like a full kernel buffer. The
+      // session's heartbeat tick re-runs the flusher once it is cleared.
+      if (faults_->stall_writes.load(std::memory_order_relaxed))
+        return static_cast<ssize_t>(written);
+      // Loop thread only, so a plain load/store countdown is race-free.
+      const int left = faults_->fail_writes_after.load(std::memory_order_relaxed);
       if (left == 0) {
         fail("tcp link: injected write failure");
-        return;
+        return -1;
       }
       if (left > 0)
-        hooks->fail_writes_after.store(left - 1, std::memory_order_relaxed);
-    }
-    iovec iov[kMaxIov];
-    const std::size_t n_bufs = std::min(sendq_.size(), kMaxIov);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n_bufs; ++i) {
-      const Buffer& b = sendq_[i];
-      const std::size_t off = i == 0 ? send_off_ : 0;
-      iov[i].iov_base = const_cast<std::uint8_t*>(b.data()) + off;
-      iov[i].iov_len = b.size() - off;
-      total += iov[i].iov_len;
+        faults_->fail_writes_after.store(left - 1, std::memory_order_relaxed);
     }
     const std::size_t write_cap =
-        hooks != nullptr ? hooks->max_write_bytes.load(std::memory_order_relaxed)
-                         : 0;
-    ssize_t written;
+        faults_ != nullptr
+            ? faults_->max_write_bytes.load(std::memory_order_relaxed)
+            : 0;
+    ssize_t w;
     if (write_cap > 0) {
       // Clamped partial write: at most `write_cap` bytes of the front
       // buffer go out, tearing frames across syscalls.
-      const std::size_t n = std::min(write_cap, iov[0].iov_len);
-      written = ::send(fd_, iov[0].iov_base, n, MSG_NOSIGNAL);
+      const std::size_t len = std::min(write_cap, iov[first].iov_len);
+      w = ::send(fd_, iov[first].iov_base, len, MSG_NOSIGNAL);
     } else {
       // sendmsg, not writev: the gathered write needs MSG_NOSIGNAL too — a
       // kill -9'd peer must surface as EPIPE here, not as a SIGPIPE that
       // silently takes down the whole node (the read side racing to notice
       // the EOF first is what made this *intermittent*).
       msghdr mh{};
-      mh.msg_iov = iov;
-      mh.msg_iovlen = n_bufs;
-      written = ::sendmsg(fd_, &mh, MSG_NOSIGNAL);
+      mh.msg_iov = iov + first;
+      mh.msg_iovlen = n - first;
+      w = ::sendmsg(fd_, &mh, MSG_NOSIGNAL);
     }
     syscalls_write_.fetch_add(1, std::memory_order_relaxed);
-    if (written < 0) {
+    if (w < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Kernel buffer full: stay armed, the EPOLLOUT edge resumes us.
-        flush_armed_ = true;
-        return;
-      }
+      // Kernel buffer full: the EPOLLOUT edge resumes the flusher.
+      if (errno == EAGAIN || errno == EWOULDBLOCK)
+        return static_cast<ssize_t>(written);
       fail("tcp link: write failed");
-      return;
+      return -1;
     }
-    bytes_out_.fetch_add(static_cast<std::uint64_t>(written),
+    bytes_out_.fetch_add(static_cast<std::uint64_t>(w),
                          std::memory_order_relaxed);
-    std::size_t left = static_cast<std::size_t>(written);
+    written += static_cast<std::size_t>(w);
+    std::size_t left = static_cast<std::size_t>(w);
     std::size_t completed = 0;
-    while (left > 0 && !sendq_.empty()) {
-      Buffer& front = sendq_.front();
-      const std::size_t remaining = front.size() - send_off_;
-      if (left < remaining) {
-        send_off_ += left;
-        left = 0;
+    while (left > 0) {
+      iovec& front = iov[first];
+      if (left < front.iov_len) {
+        front.iov_base = static_cast<std::uint8_t*>(front.iov_base) + left;
+        front.iov_len -= left;
         break;
       }
-      left -= remaining;
-      queued_bytes_ -= front.size();
-      send_off_ = 0;
+      left -= front.iov_len;
+      ++first;
       ++completed;
-      if (free_bufs_.size() < kMaxFreeBufs)
-        free_bufs_.push_back(std::move(front));
-      sendq_.pop_front();
     }
-    frames_sent_.fetch_add(completed, std::memory_order_relaxed);
     if (completed >= 2)
       frames_coalesced_.fetch_add(completed, std::memory_order_relaxed);
-    if (sendq_.size() < config_.max_queued_frames / 2 &&
-        queued_bytes_ < config_.max_queued_bytes / 2) {
-      send_cv_.notify_all();
-    }
-    if (static_cast<std::size_t>(written) < total) {
-      if (write_cap > 0) continue;  // clamp, not a full buffer: keep going
-      // Short write: the kernel buffer is full even though writev did not
-      // say EAGAIN outright; wait for the EPOLLOUT edge.
-      flush_armed_ = true;
-      return;
-    }
+    // Short write: the kernel buffer is full even though sendmsg did not
+    // say EAGAIN outright; wait for the EPOLLOUT edge. A clamp is not a full
+    // buffer: keep going.
+    if (first < n && write_cap == 0) break;
   }
-  flush_armed_ = false;
-  send_cv_.notify_all();
-  (void)lock;
+  return static_cast<ssize_t>(written);
 }
 
 void TcpLinkTransport::on_ready(std::uint32_t events) {
   if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) drain_input();
-  if ((events & EPOLLOUT) != 0) {
-    std::unique_lock<std::mutex> lock(send_mutex_);
-    flush_locked(lock);
-  }
+  if ((events & EPOLLOUT) != 0) on_writable_();
 }
 
 void TcpLinkTransport::drain_input() {
   // Loop thread only. Edge-triggered: read until EAGAIN (or EOF/error).
   while (true) {
-    if (config_.faults != nullptr) {
-      const int left =
-          config_.faults->fail_reads_after.load(std::memory_order_relaxed);
+    if (faults_ != nullptr) {
+      const int left = faults_->fail_reads_after.load(std::memory_order_relaxed);
       if (left == 0) {
         fail("tcp link: injected read failure");
         return;
       }
       if (left > 0)
-        config_.faults->fail_reads_after.store(left - 1,
-                                               std::memory_order_relaxed);
+        faults_->fail_reads_after.store(left - 1, std::memory_order_relaxed);
     }
     const std::size_t old_size = inbuf_.size();
     inbuf_.resize(old_size + kReadChunk);
@@ -506,7 +314,6 @@ void TcpLinkTransport::drain_input() {
     if (n == 0) {
       inbuf_.resize(old_size);
       peer_closed_.store(true, std::memory_order_release);
-      send_cv_.notify_all();
       return;
     }
     inbuf_.resize(old_size + static_cast<std::size_t>(n));
@@ -541,29 +348,8 @@ bool TcpLinkTransport::parse_frames() {
       fail("tcp link: stream message is not a transport frame");
       return false;
     }
-    if (frame_fn_) {
-      // Session mode: hand the whole frame (pure ACKs included) upward;
-      // the session owns the seq discipline and the replay journal.
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      res.msg.release();
-      frame_fn_(std::unique_ptr<TransportFrame>(frame));
-      continue;
-    }
-    if (frame->payload == nullptr) continue;  // pure ACK: nothing to do
-    // The ARQ receive discipline, minus recovery: TCP already guarantees
-    // order, so a gap is impossible; a duplicate seq is suppressed.
-    if (frame->seq < recv_next_) {
-      dups_suppressed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (frame->seq != recv_next_) {
-      fail("tcp link: sequence gap on an ordered stream");
-      return false;
-    }
-    ++recv_next_;
-    recv_next_published_.store(recv_next_, std::memory_order_relaxed);
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    deliver_(std::move(frame->payload));
+    res.msg.release();
+    on_frame_(std::unique_ptr<TransportFrame>(frame));
   }
   if (in_off_ == inbuf_.size()) {
     inbuf_.clear();

@@ -1,55 +1,43 @@
-// TCP-backed link transport: the inter-IS channel as a real byte stream
-// between OS processes (tools/cim_bridge, docs/BRIDGE.md).
+// One TCP socket incarnation of a mesh edge (tools/cim_bridge,
+// docs/BRIDGE.md): the byte-stream half of mesh::LinkSession.
 //
-// Framing: every message goes on the stream as a wire-encoded TransportFrame
-// (docs/WIRE.md type 7) — seq-numbered data frame with a piggybacked
-// cumulative ACK, exactly the in-sim ARQ's frame format, so a capture of the
-// socket is decodable with the same codec and the receive side reuses the
-// ARQ's dedup discipline. Retransmission, ordering, and integrity come from
-// kernel TCP (the stream IS the reliable FIFO channel the paper assumes);
-// the seq/ack numbers carry no recovery duty here — they exist so the frame
-// format is shared and accidental duplication (e.g. a future
-// reconnect-and-replay layer) is detected and suppressed rather than
-// corrupting causal order. The mesh join handshake exchanges *bare*
-// ControlMsg frames on the raw fd before this transport takes over the
-// stream (docs/BRIDGE.md); the TransportFrame seq space starts at 0 on both
-// sides once it does.
+// Framing: the stream carries wire-encoded TransportFrames (docs/WIRE.md
+// type 7) — the in-sim ARQ's frame format, so a capture of the socket
+// decodes with the same codec. This class only moves bytes: it reads,
+// reassembles and decodes inbound frames and hands each one (pure ACKs and
+// heartbeats included) to the session's frame callback, and it offers the
+// session's flusher a gathered write primitive. Sequencing, acks, dedup,
+// the replay journal and backpressure are the session's (mesh/link_session.h);
+// a socket that dies is simply retired and replaced by a fresh incarnation.
+// The mesh join handshake exchanges *bare* ControlMsg frames on the raw fd
+// before a transport takes over the stream (docs/BRIDGE.md).
 //
-// I/O model (the PR-6 tentpole): nonblocking, driven by a shared
-// net::EpollLoop — edge-triggered readiness, one loop thread serving every
-// link of the mesh node. Sends enqueue encoded frames on a bounded per-peer
-// send queue; the loop thread drains the queue with writev scatter/gather,
-// so a burst of small frames (an IS-process fan-out, a forwarding storm)
-// shares one syscall. Backpressure: when the queue is full, a sender on a
-// foreign thread stalls (bounded waits, counted in queue_full_stalls) until
-// the loop drains below the low-water mark; the loop thread itself never
-// stalls (a forwarding deliver callback must not deadlock against its own
-// flusher) — it flushes inline and, if the kernel buffer is also full, lets
-// the queue grow past the bound temporarily.
+// I/O model: nonblocking, driven by a shared net::EpollLoop — edge-triggered
+// readiness, one loop thread serving every link of the mesh node. write()
+// sends up to kMaxIov frames in one sendmsg (a burst of small frames shares
+// one syscall); when the kernel buffer fills, the next EPOLLOUT edge fires
+// the writable callback and the session's flusher resumes. Every FaultHooks
+// hook lives in these two paths (docs/FAULTS.md "Socket-level chaos").
 //
-// Threading: send() may be called from any thread. start() registers the fd
-// with the loop; from then on the DeliverFn runs on the loop thread — the
-// bridge posts pair payloads into the rt::Runtime. Before start() the fd is
-// still blocking and send() writes synchronously (handshake use). Metrics:
-// send-side instruments are cached obs cells bumped under the send mutex;
-// receive-side counts are atomics the embedder folds into the registry (obs
-// cells are not thread-safe), e.g. into the net.mesh.* counters.
+// Threading: the frame and writable callbacks and write() run on the loop
+// thread. close() may run on any thread under the owner's lock. The
+// counters are atomics, readable from any thread, that the embedder folds
+// into the registry (obs cells are not thread-safe), e.g. into the
+// net.mesh.* counters.
 #pragma once
 
+#include <sys/types.h>
+#include <sys/uio.h>
+
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "net/epoll_loop.h"
 #include "net/fault_inject.h"
-#include "net/link_transport.h"
-#include "net/message.h"
 #include "net/reliable_transport.h"
-#include "obs/obs.h"
 
 namespace cim::net {
 
@@ -82,66 +70,40 @@ int tcp_connect(const char* host, std::uint16_t port, int retries = 100);
 /// (docs/BRIDGE.md "Failure behavior").
 int tcp_connect_timeout(const char* host, std::uint16_t port, int timeout_ms);
 
-/// Bounds of the per-peer send queue (docs/BRIDGE.md "Backpressure") plus
-/// the optional chaos hooks (docs/FAULTS.md "Socket-level chaos").
-struct TcpLinkConfig {
-  std::size_t max_queued_frames = 512;
-  std::size_t max_queued_bytes = std::size_t{1} << 20;
-  /// Borrowed fault-injection switchboard; null = no faults.
-  FaultHooks* faults = nullptr;
-};
-
-class TcpLinkTransport final : public LinkTransport,
-                               private EpollLoop::FdHandler {
+class TcpLinkTransport final : private EpollLoop::FdHandler {
  public:
-  /// Payload delivery, on the loop thread.
-  using DeliverFn = std::function<void(MessagePtr)>;
+  /// Frames gathered into one write() call. Well below IOV_MAX everywhere;
+  /// large enough that an IS fan-out burst or a forwarding storm shares one
+  /// syscall.
+  static constexpr std::size_t kMaxIov = 64;
+
+  /// Every decoded TransportFrame, on the loop thread.
+  using FrameFn = std::function<void(std::unique_ptr<TransportFrame>)>;
+  /// The socket may take bytes again (an EPOLLOUT edge), on the loop thread.
+  using WritableFn = std::function<void()>;
 
   /// Takes ownership of the connected socket `fd`. The loop is borrowed; the
   /// transport must be destroyed only after `loop.stop()` (see epoll_loop.h).
-  TcpLinkTransport(int fd, EpollLoop& loop, obs::Observability* obs = nullptr,
-                   TcpLinkConfig config = {});
+  /// `faults` is a borrowed chaos switchboard; null = no faults.
+  TcpLinkTransport(int fd, EpollLoop& loop, FaultHooks* faults = nullptr);
   ~TcpLinkTransport() override;
   TcpLinkTransport(const TcpLinkTransport&) = delete;
   TcpLinkTransport& operator=(const TcpLinkTransport&) = delete;
 
-  /// Switch the fd nonblocking, register it with the loop, and route every
-  /// inbound payload to `deliver`.
-  void start(DeliverFn deliver);
+  /// Switch the fd nonblocking and register it with the loop.
+  void start(FrameFn on_frame, WritableFn on_writable);
 
-  /// Raw-frame mode for the session layer (mesh::LinkSession): every decoded
-  /// TransportFrame — pure ACKs and heartbeats included — is handed to `fn`
-  /// on the loop thread with *no* seq policing; ordering, dedup, and replay
-  /// are the session's job. Mutually exclusive with start().
-  using FrameFn = std::function<void(std::unique_ptr<TransportFrame>)>;
-  void start_frames(FrameFn fn);
-
-  /// Enqueue one pre-encoded frame (session mode; the session stamps seq/ack
-  /// and owns the encoding). Same bounded queue as send(): with `block`,
-  /// a foreign thread stalls against the bound; the loop thread never does.
-  /// Returns false if the stream has already failed (the bytes are dropped —
-  /// the session's journal is what guarantees redelivery).
-  bool send_bytes(const std::uint8_t* data, std::size_t size,
-                  bool block = true);
-
-  /// Re-arm the flusher (after clearing an injected stall, or on resume).
-  void kick();
+  /// Gathered send of `iov[0..n)`, n <= kMaxIov, one buffer per frame (the
+  /// first may be the tail of a frame torn by an earlier write). Returns the
+  /// bytes the socket took. Fewer than offered means the kernel buffer is
+  /// full (or an injected stall pretends so): the writable callback fires on
+  /// the next EPOLLOUT edge. -1 means the stream failed (error() says why).
+  /// Loop thread only.
+  ssize_t write(const iovec* iov, std::size_t n);
 
   /// Unregister from the loop and shut the socket down. Idempotent; called
   /// by the destructor if needed.
   void close();
-
-  // LinkTransport.
-  void send(MessagePtr msg) override;
-  std::size_t backlog() const override;
-  const char* kind() const override { return "tcp"; }
-  bool serializing() const override { return true; }
-  std::uint64_t wire_bytes_out() const override {
-    return bytes_out_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t wire_bytes_in() const override {
-    return bytes_in_.load(std::memory_order_relaxed);
-  }
 
   // ---- introspection -------------------------------------------------------
   /// Peer closed the stream (EOF) or the stream failed.
@@ -150,15 +112,6 @@ class TcpLinkTransport final : public LinkTransport,
   }
   /// Static description of a stream/decode failure, or null.
   const char* error() const { return error_.load(std::memory_order_acquire); }
-  std::uint64_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t frames_received() const {
-    return frames_received_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dups_suppressed() const {
-    return dups_suppressed_.load(std::memory_order_relaxed);
-  }
   /// Steady-clock nanosecond stamp of the last bytes read off the socket
   /// (start time until then). The session layer's liveness timeout reads
   /// this: a peer that has gone silent for longer than the budget is
@@ -168,78 +121,53 @@ class TcpLinkTransport final : public LinkTransport,
   }
 
   // ---- net.mesh.* accounting (docs/OBSERVABILITY.md) -----------------------
+  std::uint64_t wire_bytes_out() const {
+    return bytes_out_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t wire_bytes_in() const {
+    return bytes_in_.load(std::memory_order_relaxed);
+  }
   /// read() syscalls issued by the receive path.
   std::uint64_t syscalls_read() const {
     return syscalls_read_.load(std::memory_order_relaxed);
   }
-  /// writev()/send() syscalls issued by the send path.
+  /// sendmsg()/send() syscalls issued by write().
   std::uint64_t syscalls_write() const {
     return syscalls_write_.load(std::memory_order_relaxed);
   }
-  /// Frames that left the queue in a writev batch of two or more.
+  /// Frames completed by a syscall that completed two or more.
   std::uint64_t frames_coalesced() const {
     return frames_coalesced_.load(std::memory_order_relaxed);
   }
-  /// Times a sender stalled against the bounded send queue.
-  std::uint64_t queue_full_stalls() const {
-    return queue_full_stalls_.load(std::memory_order_relaxed);
-  }
 
  private:
-  using Buffer = std::vector<std::uint8_t>;
-
   // EpollLoop::FdHandler.
   void on_ready(std::uint32_t events) override;
 
-  void flush_locked(std::unique_lock<std::mutex>& lock);
-  void enqueue_locked(std::unique_lock<std::mutex>& lock, Buffer buf);
-  bool wait_for_room(std::unique_lock<std::mutex>& lock);
   void drain_input();
   bool parse_frames();  // false on a decode/protocol error
   void fail(const char* error);
-  void register_with_loop();
 
   int fd_;
   EpollLoop& loop_;
-  TcpLinkConfig config_;
-  DeliverFn deliver_;
-  FrameFn frame_fn_;  // raw-frame (session) mode when set
+  FaultHooks* faults_;
+  FrameFn on_frame_;
+  WritableFn on_writable_;
   std::atomic<bool> started_{false};
   bool closed_ = false;
 
-  // ---- send side (guarded by send_mutex_) ----------------------------------
-  std::mutex send_mutex_;
-  std::condition_variable send_cv_;   // stalled senders wait here
-  std::deque<Buffer> sendq_;          // encoded frames, FIFO
-  std::vector<Buffer> free_bufs_;     // recycled frame buffers
-  std::size_t send_off_ = 0;          // bytes of sendq_.front() already written
-  std::size_t queued_bytes_ = 0;
-  bool flush_armed_ = false;          // a flush task/edge will run
-  std::uint64_t send_next_ = 0;       // next data seq
-
   // ---- receive side (loop thread only) -------------------------------------
-  Buffer inbuf_;
-  std::size_t in_off_ = 0;   // parse offset into inbuf_
-  std::uint64_t recv_next_ = 0;
-  std::atomic<std::uint64_t> recv_next_published_{0};  // acked to peer
+  std::vector<std::uint8_t> inbuf_;
+  std::size_t in_off_ = 0;  // parse offset into inbuf_
 
   std::atomic<std::uint64_t> bytes_out_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> dups_suppressed_{0};
   std::atomic<std::uint64_t> syscalls_read_{0};
   std::atomic<std::uint64_t> syscalls_write_{0};
   std::atomic<std::uint64_t> frames_coalesced_{0};
-  std::atomic<std::uint64_t> queue_full_stalls_{0};
   std::atomic<std::int64_t> last_rx_ns_{0};
   std::atomic<bool> peer_closed_{false};
   std::atomic<const char*> error_{nullptr};
-
-  // Cached send-side instrument cells, bumped under send_mutex_ (null
-  // without observability).
-  obs::Counter* m_bytes_out_ = nullptr;
-  obs::DurationHistogram* h_encode_ns_ = nullptr;
 };
 
 }  // namespace cim::net

@@ -97,7 +97,9 @@ namespace {
 // One blocking call's rendezvous, on the caller's stack. Replaces
 // promise/future, whose shared state costs a heap allocation per operation.
 // The caller spins briefly (yielding, so a single-core host lets the engine
-// run) before parking on the condition variable.
+// run) before parking on the condition variable. The cell dies the moment
+// wait() returns, so signal() touches it only under the mutex, and wait()
+// takes the mutex once before returning: the signaller is then done with it.
 struct SyncCell {
   std::atomic<bool> ready{false};
   std::mutex m;
@@ -105,16 +107,17 @@ struct SyncCell {
   Value value = kInitValue;
 
   void signal() {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      ready.store(true, std::memory_order_release);
-    }
+    std::lock_guard<std::mutex> lock(m);
+    ready.store(true, std::memory_order_release);
     cv.notify_one();
   }
 
   void wait() {
     for (int i = 0; i < 1024; ++i) {
-      if (ready.load(std::memory_order_acquire)) return;
+      if (ready.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(m);
+        return;
+      }
       if ((i & 15) == 15) std::this_thread::yield();
     }
     std::unique_lock<std::mutex> lock(m);
