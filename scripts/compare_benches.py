@@ -30,8 +30,7 @@ import sys
 
 HIGHER_BETTER = ("_per_sec", "_per_second")
 LOWER_BETTER = {"wall_s", "real_time_ns", "cpu_time_ns", "bytes_per_msg",
-                "syscalls_per_msg", "reconnect_ms", "check_ms",
-                "bytes_per_op"}
+                "reconnect_ms", "check_ms", "bytes_per_op"}
 # Fields exempt from the suffix rules: reported for the record but never
 # judged. post_recovery_msgs_per_sec times the catch-up burst right after a
 # rejoin, whose size depends on how much queued during the outage — a
@@ -42,8 +41,10 @@ LOWER_BETTER = {"wall_s", "real_time_ns", "cpu_time_ns", "bytes_per_msg",
 INFORMATIONAL = {"post_recovery_msgs_per_sec", "stats_off_msgs_per_sec",
                  "stats_on_msgs_per_sec", "overhead_pct"}
 # Build-identity meta fields: differing values make the comparison
-# apples-to-oranges, so they warn loudly.
-IDENTITY_META = ("compiler", "compiler_version", "build_type", "sanitize")
+# apples-to-oranges, so they warn loudly. library_build_type is the build
+# type of the google-benchmark library itself (BENCH_throughput).
+IDENTITY_META = ("compiler", "compiler_version", "build_type", "sanitize",
+                 "library_build_type")
 
 
 def direction(field):

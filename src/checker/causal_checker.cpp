@@ -342,26 +342,6 @@ struct Engine {
 
 }  // namespace
 
-std::optional<Relation> CausalChecker::causal_order(
-    const History& history) const {
-  Engine e(history);
-  if (!e.fail.ok() || !e.amb.empty()) return std::nullopt;
-  e.g.set_edges(e.base_edges);
-  if (!e.g.topo_order(e.order, nullptr)) return std::nullopt;
-  e.g.clocks(e.order, e.clk);
-  const std::size_t n = history.size();
-  Relation co(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (e.g.reaches(e.clk, static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(j))) {
-        co.set(i, j);
-      }
-    }
-  }
-  return co;
-}
-
 CheckResult CausalChecker::check(const History& history, Level level) const {
   Engine e(history);
   if (!e.fail.ok()) {

@@ -44,17 +44,16 @@
 // reads are resolved by a budgeted backtracking search over pruned candidate
 // sets. See docs/CHECKER.md for the full semantics and complexity story.
 //
-// SearchChecker (search_checker.h) decides the definition directly by
-// enumerating assignments and backtracking; property tests cross-validate
-// the two on random histories, including histories with repeated values.
+// SearchChecker (search_checker.h) decides the definition directly, with its
+// own causal order, by enumerating assignments and backtracking; property
+// tests cross-validate the two on random histories, including histories
+// with repeated values.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 
 #include "checker/history.h"
-#include "checker/relation.h"
 
 namespace cim::chk {
 
@@ -115,12 +114,6 @@ class CausalChecker {
   /// Verify `history` against the model. O((n+m)·P) for kCC/kCCv and per
   /// HB-fixpoint round; kCM runs one fixpoint per process with reads.
   CheckResult check(const History& history, Level level = Level::kCM) const;
-
-  /// The causal order co = (po ∪ rf)+ of a history as a dense Relation,
-  /// exposed for tests and the latency experiments. Returns nullopt when co
-  /// is cyclic, a read is thin-air, or reads-from is ambiguous (repeated
-  /// values read back) — callers needing the ambiguous case run check().
-  std::optional<Relation> causal_order(const History& history) const;
 
  private:
   CheckOptions options_;

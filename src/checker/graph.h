@@ -1,9 +1,8 @@
 // Sparse dependency graph over a columnar History.
 //
-// The bad-pattern checker used to materialize every order as a dense n×n
-// bit matrix (relation.h) and close it transitively — O(n²) memory and
-// O(n³/64) time, which caps it far below the multi-million-op histories the
-// mesh produces. This graph keeps program order *implicit* in the history's
+// A dense n×n bit matrix closed transitively costs O(n²) memory and
+// O(n³/64) time, far too much for the multi-million-op histories the mesh
+// produces. This graph keeps program order *implicit* in the history's
 // per-process spans and stores only the explicit edges (reads-from, derived
 // happens-before, conflict) as CSR adjacency, giving:
 //
@@ -12,10 +11,11 @@
 //  * per-op *vector clocks* in O((n + m) · P): clock[i][p] is the highest
 //    1-based program-order position among process p's operations causally
 //    at-or-before op i, so the reachability query a ⇝ b is one integer
-//    compare — the sparse replacement for Relation::test.
+//    compare.
 //
-// The dense Relation survives only where the reference SearchChecker and
-// CausalChecker::causal_order genuinely need a materialized order.
+// Only CausalChecker uses this graph; the reference SearchChecker derives
+// its causal order independently, so cross-validation tests one against
+// the other.
 #pragma once
 
 #include <cstdint>

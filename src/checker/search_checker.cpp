@@ -1,46 +1,44 @@
 #include "checker/search_checker.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "checker/causal_checker.h"
-#include "checker/relation.h"
-
 namespace cim::chk {
 
 namespace {
 
-// A scheduling problem: find a linear extension of `before` over `ops`
-// (indices into a local array) such that every read is *legal* when placed:
-// it returns the value of the most recently placed write to its variable, or
-// the initial value if no write to it has been placed.
+// A scheduling problem: find an order of `ops` (indices into a local array)
+// that places every op after all ops in its predecessor mask and in which
+// every read is *legal* when placed: it returns the value of the most
+// recently placed write to its variable, or the initial value if no write to
+// it has been placed.
 struct Problem {
-  std::vector<Op> ops;       // local operations
-  Relation before;           // precedence constraints (closed or not)
-  std::uint64_t budget = 0;  // remaining node budget
+  std::vector<Op> ops;               // local operations, at most 64
+  std::vector<std::uint64_t> preds;  // preds[i]: ops that must precede i
+  std::uint64_t budget = 0;          // remaining node budget
 };
 
 struct SearchState {
   std::uint64_t scheduled = 0;                  // bitmask over <=64 ops
   std::map<VarId, std::size_t> last_write;      // var -> local op index
+
+  bool operator==(const SearchState&) const = default;
 };
 
-std::uint64_t state_key(const SearchState& s) {
-  // Combine the mask with a hash of the variable state. Collisions merely
-  // cause a (sound) re-exploration to be skipped only if the full key
-  // matches, so we store full keys in a set of pairs folded into one hash —
-  // to stay exact we fold conservatively: same mask AND same last-write map
-  // produce the same key; different maps *may* collide, so we mix strongly.
-  std::uint64_t h = s.scheduled * 0x9E3779B97F4A7C15ULL;
-  for (const auto& [var, idx] : s.last_write) {
-    h ^= (static_cast<std::uint64_t>(var.value) + 1) * 0xBF58476D1CE4E5B9ULL +
-         idx * 0x94D049BB133111EBULL + (h << 7) + (h >> 3);
+// Buckets the memo of failed states; equality on the full state keeps the
+// memo exact, so a hash collision costs a comparison, never a wrong prune.
+struct StateHash {
+  std::size_t operator()(const SearchState& s) const {
+    std::uint64_t h = s.scheduled * 0x9E3779B97F4A7C15ULL;
+    for (const auto& [var, idx] : s.last_write) {
+      h ^= (static_cast<std::uint64_t>(var.value) + 1) * 0xBF58476D1CE4E5B9ULL +
+           idx * 0x94D049BB133111EBULL + (h << 7) + (h >> 3);
+    }
+    return static_cast<std::size_t>(h);
   }
-  return h;
-}
+};
 
 // Depth-first search for a legal linear extension. Returns true/false, or
 // nullopt if the budget is exhausted.
@@ -49,20 +47,8 @@ std::optional<bool> solve(Problem& p) {
   if (n > 64) return std::nullopt;
   if (n == 0) return true;
 
-  // Precompute predecessor masks.
-  std::vector<std::uint64_t> preds(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    p.before.for_successors(i, [&](std::size_t j) {
-      preds[j] |= 1ULL << i;
-    });
-    if (p.before.test(i, i)) preds[i] |= 1ULL << i;  // self-loop: unsat
-  }
-
-  // Memoized states known to fail. Keyed by a strong hash of
-  // (mask, last-write map); a hash collision could wrongly prune, which is
-  // statistically negligible for test sizes but we accept it as this checker
-  // is advisory (the polynomial checker is authoritative).
-  std::unordered_set<std::uint64_t> failed;
+  // States from which no legal completion exists.
+  std::unordered_set<SearchState, StateHash> failed;
 
   struct Frame {
     SearchState state;
@@ -75,7 +61,7 @@ std::optional<bool> solve(Problem& p) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t bit = 1ULL << i;
       if (s.scheduled & bit) continue;
-      if ((preds[i] & ~s.scheduled) != 0) continue;  // unscheduled preds
+      if ((p.preds[i] & ~s.scheduled) != 0) continue;  // unscheduled preds
       if (p.ops[i].kind == OpKind::kRead) {
         auto it = s.last_write.find(p.ops[i].var);
         if (it == s.last_write.end()) {
@@ -97,7 +83,7 @@ std::optional<bool> solve(Problem& p) {
     Frame& f = stack.back();
     if (f.state.scheduled == all) return true;
     if (f.next >= f.candidates.size()) {
-      failed.insert(state_key(f.state));
+      failed.insert(std::move(f.state));
       stack.pop_back();
       continue;
     }
@@ -108,7 +94,7 @@ std::optional<bool> solve(Problem& p) {
     if (p.ops[pick].kind == OpKind::kWrite) {
       next.last_write[p.ops[pick].var] = pick;
     }
-    if (failed.count(state_key(next))) continue;
+    if (failed.count(next)) continue;
     auto cands = candidates_of(next);
     stack.push_back(Frame{std::move(next), std::move(cands), 0});
   }
@@ -122,37 +108,83 @@ std::vector<Op> materialize(const History& h) {
   return ops;
 }
 
-// Decide causality of a history whose reads-from is a *function* (every
-// value written at most once per variable) — the original distinct-value
-// core: materialize co, then search a causal view per process.
-std::optional<bool> is_causal_distinct(const History& history,
+// Decide causality of `ops` — `h`'s operations, in `h`'s order, with values
+// renamed so every (var, value) has at most one writer. The causal order
+// co = (po ∪ rf)+ is derived here from the definitions, sharing no code with
+// CausalChecker: rf links each read to the unique writer of its value, a
+// Kahn pass rejects a cyclic co, and reachability rows filled in reverse
+// topological order give each process's view its precedence masks.
+std::optional<bool> is_causal_distinct(const History& h,
+                                       const std::vector<Op>& ops,
                                        std::uint64_t node_budget) {
-  CausalChecker cc;
-  std::optional<Relation> co = cc.causal_order(history);
-  if (!co) return false;  // cyclic co or thin-air read
+  const std::size_t n = ops.size();
+  std::map<std::pair<VarId, Value>, std::size_t> writer;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ops[i].kind == OpKind::kWrite) writer[{ops[i].var, ops[i].value}] = i;
+  }
 
-  const std::vector<Op> ops = materialize(history);
+  // Direct successors under po ∪ rf.
+  std::vector<std::vector<std::size_t>> succ(n);
+  for (std::size_t pi = 0; pi < h.num_processes(); ++pi) {
+    const History::Span s = h.process_span(pi);
+    for (std::size_t i = s.begin; i + 1 < s.end; ++i) succ[i].push_back(i + 1);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ops[i].kind != OpKind::kRead || ops[i].value == kInitValue) continue;
+    auto it = writer.find({ops[i].var, ops[i].value});
+    if (it == writer.end()) return false;  // thin-air read
+    succ[it->second].push_back(i);
+  }
 
-  for (ProcId proc : history.processes()) {
+  std::vector<std::size_t> indegree(n, 0);
+  for (const auto& out : succ) {
+    for (std::size_t j : out) ++indegree[j];
+  }
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) order.push_back(i);
+  }
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    for (std::size_t j : succ[order[k]]) {
+      if (--indegree[j] == 0) order.push_back(j);
+    }
+  }
+  if (order.size() < n) return false;  // co is cyclic
+
+  // reach[i]: bit j set iff i co-precedes j.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> reach(n * words, 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    std::uint64_t* row = &reach[*it * words];
+    for (std::size_t j : succ[*it]) {
+      row[j >> 6] |= 1ULL << (j & 63);
+      for (std::size_t w = 0; w < words; ++w) row[w] |= reach[j * words + w];
+    }
+  }
+  auto precedes = [&](std::size_t a, std::size_t b) {
+    return (reach[a * words + (b >> 6)] >> (b & 63)) & 1;
+  };
+
+  for (ProcId proc : h.processes()) {
     // α_i: all writes plus this process's reads, with co restricted.
-    std::vector<std::size_t> global_idx;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
+    std::vector<std::size_t> view;
+    for (std::size_t i = 0; i < n; ++i) {
       if (ops[i].kind == OpKind::kWrite || ops[i].proc == proc) {
-        global_idx.push_back(i);
+        view.push_back(i);
       }
     }
-    if (global_idx.size() > 64) return std::nullopt;
+    if (view.size() > 64) return std::nullopt;
 
     Problem p;
     p.budget = node_budget;
-    p.before = Relation(global_idx.size());
-    for (std::size_t a = 0; a < global_idx.size(); ++a) {
-      p.ops.push_back(ops[global_idx[a]]);
-      for (std::size_t b = 0; b < global_idx.size(); ++b) {
-        if (a != b && co->test(global_idx[a], global_idx[b])) {
-          p.before.set(a, b);
-        }
+    for (std::size_t a = 0; a < view.size(); ++a) {
+      p.ops.push_back(ops[view[a]]);
+      std::uint64_t mask = 0;
+      for (std::size_t b = 0; b < view.size(); ++b) {
+        if (precedes(view[b], view[a])) mask |= 1ULL << b;
       }
+      p.preds.push_back(mask);
     }
     std::optional<bool> result = solve(p);
     if (!result) return std::nullopt;  // budget exceeded
@@ -232,7 +264,7 @@ std::optional<bool> SearchChecker::is_causal(const History& history,
       renamed[choices[k].read].value =
           w == kInitChoice ? kInitValue : static_cast<Value>(w + 1);
     }
-    std::optional<bool> r = is_causal_distinct(History(renamed), node_budget);
+    std::optional<bool> r = is_causal_distinct(history, renamed, node_budget);
     if (!r) return std::nullopt;
     if (*r) return true;
     // Next assignment.
@@ -255,11 +287,11 @@ std::optional<bool> SearchChecker::is_sequential(
   Problem p;
   p.budget = node_budget;
   p.ops = ops;
-  p.before = Relation(ops.size());
+  p.preds.assign(ops.size(), 0);
   for (std::size_t pi = 0; pi < history.num_processes(); ++pi) {
     const History::Span s = history.process_span(pi);
     for (std::size_t i = s.begin + 1; i < s.end; ++i) {
-      p.before.set(i - 1, i);
+      p.preds[i] = 1ULL << (i - 1);
     }
   }
   return solve(p);

@@ -7,6 +7,9 @@
 //  * deciding *sequential* consistency for experiment E9 (two sequentially
 //    consistent systems interconnect into a causal but generally
 //    non-sequential system).
+//
+// They share no code with CausalChecker: is_causal derives the causal order
+// (po ∪ rf)+ itself, so agreement between the two is independent evidence.
 #pragma once
 
 #include <cstdint>

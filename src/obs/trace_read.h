@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,6 +53,9 @@ struct JsonValue {
 /// input.
 bool parse_json(std::string_view text, JsonValue& out,
                 std::string* error = nullptr);
+
+/// Write `v` as compact JSON (no whitespace; integers keep full precision).
+void write_json_value(std::ostream& os, const JsonValue& v);
 
 /// One trace record read back from JSONL (docs/OBSERVABILITY.md, "Trace
 /// record schema").

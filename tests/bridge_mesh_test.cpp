@@ -5,9 +5,9 @@
 // the causal checker — Corollary 1 exercised over real localhost sockets —
 // and the closing handshake: its fast path and its grace-window fallback.
 //
-// Ports: every test derives its base port from getpid() plus a per-test
-// offset, because cim_tests and cim_tests_bytes_wire may run concurrently
-// under ctest -j.
+// Ports: every test draws a random free range (test::free_port_base),
+// because cim_tests and cim_tests_bytes_wire may run concurrently under
+// ctest -j.
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -25,6 +25,7 @@
 
 #include "checker/causal_checker.h"
 #include "checker/history.h"
+#include "helpers.h"
 #include "interconnect/topology.h"
 #include "mesh/ctrl_io.h"
 #include "mesh/mesh_node.h"
@@ -38,11 +39,6 @@ namespace {
 
 using isc::Topology;
 using net::wire::ControlMsg;
-
-std::uint16_t test_port(std::uint16_t offset) {
-  return static_cast<std::uint16_t>(
-      20000 + (static_cast<std::uint32_t>(::getpid()) * 131) % 30000 + offset);
-}
 
 // ---- topology spec ---------------------------------------------------------
 
@@ -168,7 +164,7 @@ void handshake_as(int fd, std::uint64_t node_id, std::uint64_t hash) {
 // ---- join protocol edge cases ----------------------------------------------
 
 TEST(MeshJoin, DuplicateJoinIsRejected) {
-  const std::uint16_t base = test_port(0);
+  const std::uint16_t base = test::free_port_base(3);
   mesh::MeshConfig cfg;
   cfg.node_id = 0;
   cfg.topo = isc::make_star(3);  // node 0 awaits joins from 1 and 2
@@ -198,7 +194,7 @@ TEST(MeshJoin, DuplicateJoinIsRejected) {
 }
 
 TEST(MeshJoin, ImpostorAndDivergingSpecAreRejected) {
-  const std::uint16_t base = test_port(10);
+  const std::uint16_t base = test::free_port_base(2);
   mesh::MeshConfig cfg;
   cfg.node_id = 0;
   cfg.topo = isc::make_chain(2);
@@ -229,7 +225,7 @@ TEST(MeshJoin, ImpostorAndDivergingSpecAreRejected) {
 }
 
 TEST(MeshJoin, PeerDyingMidHandshakeDoesNotPoisonTheJoin) {
-  const std::uint16_t base = test_port(20);
+  const std::uint16_t base = test::free_port_base(2);
   mesh::MeshConfig cfg;
   cfg.node_id = 0;
   cfg.topo = isc::make_chain(2);
@@ -250,7 +246,7 @@ TEST(MeshJoin, PeerDyingMidHandshakeDoesNotPoisonTheJoin) {
 }
 
 TEST(MeshJoin, PartialTopologyTimesOutCleanly) {
-  const std::uint16_t base = test_port(30);
+  const std::uint16_t base = test::free_port_base(3);
   mesh::MeshConfig cfg;
   cfg.node_id = 0;
   cfg.topo = isc::make_star(3);
@@ -264,7 +260,7 @@ TEST(MeshJoin, PartialTopologyTimesOutCleanly) {
 }
 
 TEST(MeshJoin, DialerLearnsWhyItWasRejected) {
-  const std::uint16_t base = test_port(40);
+  const std::uint16_t base = test::free_port_base(3);
   // A 3-chain's node 1 dials node 0 — but node 0 was launched with a star,
   // so the topology hashes diverge and node 0 rejects.
   mesh::MeshConfig cfg0;
@@ -312,7 +308,7 @@ TEST(TcpAccept, DescriptorExhaustionIsTransient) {
   // descriptors: accept() fails with EMFILE. That must come back as -1, not
   // as an exception that would end a node's accept thread, and the
   // connection must still be there once descriptors free up.
-  const std::uint16_t port = test_port(120);
+  const std::uint16_t port = test::free_port_base();
   const int listener = net::tcp_listen(port, 4);
   const int client = net::tcp_connect("127.0.0.1", port, 100);
   rlimit saved{};
@@ -346,7 +342,7 @@ TEST(TcpAccept, DescriptorExhaustionIsTransient) {
 }
 
 TEST(TcpAccept, WakeFdEndsTheWaitWithoutATimeout) {
-  const int listener = net::tcp_listen(test_port(130), 1);
+  const int listener = net::tcp_listen(test::free_port_base(), 1);
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
   ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
@@ -369,7 +365,7 @@ TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
   const auto spec = isc::parse_topology(
       "nodes 5\nedge 0 1\nedge 0 2\nedge 1 3\nedge 1 4\n");
   ASSERT_TRUE(spec.ok()) << spec.error;
-  const std::uint16_t base = test_port(50);
+  const std::uint16_t base = test::free_port_base(5);
 
   std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
   for (std::size_t i = 0; i < 5; ++i) {
@@ -420,7 +416,7 @@ TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
 TEST(MeshDrain, FaultFreeChainClosesWithoutGraceOrResume) {
   // Default session timings, so the rejoin grace window is the full
   // 2 x backoff_max + 2 x hb_interval = 2.2 s a missed ack used to cost.
-  const std::uint16_t base = test_port(140);
+  const std::uint16_t base = test::free_port_base(2);
   std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
   for (std::size_t i = 0; i < 2; ++i) {
     mesh::MeshConfig cfg;
@@ -474,7 +470,7 @@ TEST(MeshDrain, PeerClosingOnAnUnackedByeDrainsThroughTheGraceWindow) {
   // Node 0 cannot tell "the peer is gone" from "the peer is mid-redial", so
   // it must wait out the rejoin grace window, count the exit, and return
   // well inside its drain budget with every pair delivered exactly once.
-  const std::uint16_t base = test_port(150);
+  const std::uint16_t base = test::free_port_base(2);
   mesh::MeshConfig cfg;
   cfg.node_id = 0;
   cfg.topo = isc::make_chain(2);
@@ -629,7 +625,7 @@ TEST(MeshChaos, InjectedReadFailureReconnectsWithZeroDupZeroLoss) {
   // with backoff, and the kRejoin replay restores the stream.
   net::FaultHooks hooks;
   hooks.stall_writes.store(true);
-  ChaosMesh mesh(test_port(60), &hooks);
+  ChaosMesh mesh(test::free_port_base(2), &hooks);
   mesh.wait_ready();
   hooks.fail_reads_after.store(2);
   // The countdown sticks at 0 once spent; node 0's next heartbeat burns it.
@@ -648,7 +644,7 @@ TEST(MeshChaos, InjectedWriteFailureReconnectsWithZeroDupZeroLoss) {
   // undelivered, the mesh cannot drain without a real reconnect + replay.
   net::FaultHooks hooks;
   hooks.fail_writes_after.store(1);
-  ChaosMesh mesh(test_port(70), &hooks);
+  ChaosMesh mesh(test::free_port_base(2), &hooks);
   mesh.wait_ready();
   ASSERT_TRUE(spin_until([&] { return hooks.fail_writes_after.load() == 0; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -663,7 +659,7 @@ TEST(MeshChaos, ClampedPartialWritesTearFramesButNothingBreaks) {
   // receive parser reassembles; the mesh drains normally.
   net::FaultHooks hooks;
   hooks.max_write_bytes.store(7);
-  ChaosMesh mesh(test_port(80), &hooks, /*ops=*/25);
+  ChaosMesh mesh(test::free_port_base(2), &hooks, /*ops=*/25);
   mesh.finish_and_check();
   EXPECT_GE(mesh.nodes[1]->session(0).syscalls_write(), 50u);
 }
@@ -681,7 +677,7 @@ TEST(MeshChaos, StalledPeerDegradesWithBackpressureThenRecovers) {
   net::FaultHooks hooks0;
   hooks1.stall_writes.store(true);
   hooks0.stall_writes.store(true);
-  ChaosMesh mesh(test_port(90), &hooks1, /*ops=*/40, &hooks0);
+  ChaosMesh mesh(test::free_port_base(2), &hooks1, /*ops=*/40, &hooks0);
   mesh.wait_ready();
   mesh::LinkSession& seen_by_0 = mesh.nodes[0]->session(0);
   ASSERT_TRUE(spin_until(
@@ -706,7 +702,7 @@ TEST(MeshChaos, StrayConnectionsMidRunAreRefusedAsStale) {
   // are refused/ignored; the mesh finishes untouched.
   net::FaultHooks hooks;
   hooks.stall_writes.store(true);
-  const std::uint16_t base = test_port(100);
+  const std::uint16_t base = test::free_port_base(2);
   ChaosMesh mesh(base, &hooks);
   mesh.wait_ready();
 
@@ -845,7 +841,7 @@ TEST(MeshResume, RefusesAJournalWhoseTerminationAlreadyBegan) {
   mesh::MeshConfig cfg;
   cfg.node_id = 0;
   cfg.topo = isc::make_chain(2);
-  cfg.base_port = test_port(110);
+  cfg.base_port = test::free_port_base(2);
   cfg.seed = 7;
   cfg.state_path = path;
   cfg.resume = true;

@@ -165,6 +165,44 @@ History chain_history(std::size_t per_proc, std::size_t procs) {
   return b.build();
 }
 
+// Vector clocks of g; false if g is cyclic.
+bool clocks_of(const SparseGraph& g, std::vector<std::uint32_t>& clk) {
+  std::vector<std::uint32_t> order;
+  if (!g.topo_order(order, nullptr)) return false;
+  g.clocks(order, clk);
+  return true;
+}
+
+// Reference reachability: reach[a][b] iff a DFS over po ∪ edges from a
+// arrives at b.
+std::vector<std::vector<bool>> dfs_reach(const History& h,
+                                         const std::vector<Edge>& edges) {
+  const std::size_t n = h.size();
+  std::vector<std::vector<std::uint32_t>> succ(n);
+  for (const Edge& e : edges) succ[e.from].push_back(e.to);
+  for (std::size_t p = 0; p < h.num_processes(); ++p) {
+    const History::Span s = h.process_span(p);
+    for (std::size_t i = s.begin; i + 1 < s.end; ++i) {
+      succ[i].push_back(static_cast<std::uint32_t>(i + 1));
+    }
+  }
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::uint32_t a = 0; a < n; ++a) {
+    std::vector<std::uint32_t> stack{a};
+    while (!stack.empty()) {
+      const std::uint32_t v = stack.back();
+      stack.pop_back();
+      for (std::uint32_t w : succ[v]) {
+        if (!reach[a][w]) {
+          reach[a][w] = true;
+          stack.push_back(w);
+        }
+      }
+    }
+  }
+  return reach;
+}
+
 TEST(SparseGraph, TopoOrderRespectsPoAndEdges) {
   History h = chain_history(4, 2);  // ops 0-3 on p0, 4-7 on p1
   SparseGraph g(h);
@@ -204,7 +242,7 @@ TEST(SparseGraph, SccSeparatesComponents) {
 }
 
 TEST(SparseGraph, ClockReachabilityMatchesDenseClosure) {
-  // Random DAGs: clocks-based reaches() must equal dense transitive closure.
+  // Random DAGs: clocks-based reaches() must equal DFS reachability.
   Rng rng(21);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t procs = 1 + rng.uniform(0, 3);
@@ -224,22 +262,172 @@ TEST(SparseGraph, ClockReachabilityMatchesDenseClosure) {
     ASSERT_TRUE(g.topo_order(order, nullptr));
     std::vector<std::uint32_t> clk;
     g.clocks(order, clk);
-    // Dense reference over po ∪ edges.
-    Relation r(n);
-    for (const Edge& e : edges) r.set(e.from, e.to);
-    for (std::size_t p = 0; p < h.num_processes(); ++p) {
-      const History::Span s = h.process_span(p);
-      for (std::size_t i = s.begin; i + 1 < s.end; ++i) r.set(i, i + 1);
-    }
-    auto closed = transitive_closure(r);
-    ASSERT_FALSE(closed.cycle_witness.has_value());
+    const auto reach = dfs_reach(h, edges);
     for (std::uint32_t a = 0; a < n; ++a) {
       for (std::uint32_t b = 0; b < n; ++b) {
         if (a == b) continue;
-        EXPECT_EQ(g.reaches(clk, a, b), closed.closure.test(a, b))
-            << a << "->" << b;
+        EXPECT_EQ(g.reaches(clk, a, b), reach[a][b]) << a << "->" << b;
       }
     }
+  }
+}
+
+TEST(SparseGraph, SingleEdgeOrdersOnlyItsEndpoints) {
+  History h = chain_history(1, 4);  // one op per process
+  SparseGraph g(h);
+  g.set_edges({{1, 2}});
+  EXPECT_EQ(g.num_edges(), 1u);
+  std::vector<std::uint32_t> clk;
+  ASSERT_TRUE(clocks_of(g, clk));
+  EXPECT_TRUE(g.reaches(clk, 1, 2));
+  EXPECT_FALSE(g.reaches(clk, 2, 1));
+  for (std::uint32_t a : {0u, 3u}) {
+    for (std::uint32_t b = 0; b < 4; ++b) {
+      EXPECT_FALSE(g.reaches(clk, a, b)) << a << "->" << b;
+      EXPECT_FALSE(g.reaches(clk, b, a)) << b << "->" << a;
+    }
+  }
+}
+
+TEST(SparseGraph, ClocksSpanManyProcesses) {
+  History h = chain_history(1, 70);  // more processes than a 64-bit word
+  SparseGraph g(h);
+  g.set_edges({{3, 2}, {3, 65}, {65, 66}});
+  EXPECT_EQ(g.num_procs(), 70u);
+  std::vector<std::uint32_t> clk;
+  ASSERT_TRUE(clocks_of(g, clk));
+  EXPECT_TRUE(g.reaches(clk, 3, 2));
+  EXPECT_TRUE(g.reaches(clk, 3, 65));
+  EXPECT_TRUE(g.reaches(clk, 3, 66));
+  EXPECT_FALSE(g.reaches(clk, 2, 65));
+  EXPECT_FALSE(g.reaches(clk, 65, 3));
+  EXPECT_FALSE(g.reaches(clk, 66, 3));
+}
+
+TEST(SparseGraph, ChainOfEdgesReachesTransitively) {
+  History h = chain_history(1, 4);
+  SparseGraph g(h);
+  g.set_edges({{0, 1}, {1, 2}, {2, 3}});
+  std::vector<std::uint32_t> clk;
+  ASSERT_TRUE(clocks_of(g, clk));
+  EXPECT_TRUE(g.reaches(clk, 0, 3));
+  EXPECT_TRUE(g.reaches(clk, 0, 2));
+  EXPECT_TRUE(g.reaches(clk, 1, 3));
+  EXPECT_FALSE(g.reaches(clk, 3, 0));
+  EXPECT_FALSE(g.reaches(clk, 0, 0));  // strict
+}
+
+TEST(SparseGraph, ThreeProcessCycleHasNoTopoOrder) {
+  History h = chain_history(1, 3);
+  SparseGraph g(h);
+  g.set_edges({{0, 1}, {1, 2}, {2, 0}});
+  std::vector<std::uint32_t> order;
+  std::pair<std::uint32_t, std::uint32_t> w{99, 99};
+  ASSERT_FALSE(g.topo_order(order, &w));
+  EXPECT_NE(w.first, w.second);
+  std::vector<std::uint32_t> comp;
+  EXPECT_EQ(g.scc(comp), 1u);
+}
+
+TEST(SparseGraph, EdgeAgainstProgramOrderIsACycle) {
+  // A read sourced by a later write of its own process: po 0->1, edge 1->0.
+  History h = chain_history(2, 1);
+  SparseGraph g(h);
+  g.set_edges({{1, 0}});
+  std::vector<std::uint32_t> order;
+  std::pair<std::uint32_t, std::uint32_t> w{99, 99};
+  ASSERT_FALSE(g.topo_order(order, &w));
+  EXPECT_EQ(std::min(w.first, w.second), 0u);
+  EXPECT_EQ(std::max(w.first, w.second), 1u);
+  std::vector<std::uint32_t> comp;
+  EXPECT_EQ(g.scc(comp), 1u);
+}
+
+TEST(SparseGraph, DiamondLeavesItsSidesUnordered) {
+  History h = chain_history(1, 4);
+  SparseGraph g(h);
+  g.set_edges({{0, 1}, {0, 2}, {1, 3}, {2, 3}, {0, 1}});  // one duplicate
+  std::vector<std::uint32_t> clk;
+  ASSERT_TRUE(clocks_of(g, clk));
+  EXPECT_TRUE(g.reaches(clk, 0, 3));
+  EXPECT_FALSE(g.reaches(clk, 1, 2));
+  EXPECT_FALSE(g.reaches(clk, 2, 1));
+  EXPECT_FALSE(g.reaches(clk, 3, 0));
+}
+
+TEST(SparseGraphScale, LongChainThroughPoAndEdges) {
+  // 150 processes of two ops, each process's last op -> the next one's
+  // first: a 300-op total order alternating po and explicit edges.
+  const std::uint32_t procs = 150;
+  History h = chain_history(2, procs);
+  const std::uint32_t n = static_cast<std::uint32_t>(h.size());
+  SparseGraph g(h);
+  std::vector<Edge> edges;
+  for (std::uint32_t p = 0; p + 1 < procs; ++p) {
+    edges.push_back({2 * p + 1, 2 * p + 2});
+  }
+  g.set_edges(edges);
+  std::vector<std::uint32_t> clk;
+  ASSERT_TRUE(clocks_of(g, clk));
+  EXPECT_TRUE(g.reaches(clk, 0, n - 1));
+  EXPECT_FALSE(g.reaches(clk, n - 1, 0));
+  std::size_t pairs = 0;
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = 0; b < n; ++b) pairs += g.reaches(clk, a, b);
+  }
+  EXPECT_EQ(pairs, std::size_t{n} * (n - 1) / 2);
+}
+
+TEST(SparseGraphScale, WideRandomDagMatchesDfsReachability) {
+  // One op per process, so every order comes from explicit edges and each
+  // clock is 60 entries wide.
+  Rng rng(5);
+  const std::uint32_t n = 60;
+  History h = chain_history(1, n);
+  SparseGraph g(h);
+  std::vector<Edge> edges;
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = a + 1; b < n; ++b) {
+      if (rng.chance(0.08)) edges.push_back({a, b});  // forward: acyclic
+    }
+  }
+  g.set_edges(edges);
+  std::vector<std::uint32_t> clk;
+  ASSERT_TRUE(clocks_of(g, clk));
+  const auto reach = dfs_reach(h, edges);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      EXPECT_EQ(g.reaches(clk, a, b), reach[a][b]) << a << "->" << b;
+    }
+  }
+}
+
+TEST(SparseGraphScale, BigCycleIsOneComponent) {
+  // Through program order: two 100-op processes closed by two edges.
+  {
+    History h = chain_history(100, 2);
+    SparseGraph g(h);
+    g.set_edges({{99, 100}, {199, 0}});
+    std::vector<std::uint32_t> order;
+    std::pair<std::uint32_t, std::uint32_t> w{999, 999};
+    ASSERT_FALSE(g.topo_order(order, &w));
+    EXPECT_NE(w.first, w.second);
+    std::vector<std::uint32_t> comp;
+    EXPECT_EQ(g.scc(comp), 1u);
+  }
+  // Through explicit edges only: 200 single-op processes in a ring.
+  {
+    const std::uint32_t n = 200;
+    History h = chain_history(1, n);
+    SparseGraph g(h);
+    std::vector<Edge> ring;
+    for (std::uint32_t i = 0; i < n; ++i) ring.push_back({i, (i + 1) % n});
+    g.set_edges(ring);
+    std::vector<std::uint32_t> order;
+    ASSERT_FALSE(g.topo_order(order, nullptr));
+    std::vector<std::uint32_t> comp;
+    EXPECT_EQ(g.scc(comp), 1u);
   }
 }
 

@@ -1,8 +1,14 @@
 // Shared test helpers: compact builders for systems, federations, and
-// hand-written histories.
+// hand-written histories, and free loopback ports for socket tests.
 #pragma once
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "checker/history.h"
@@ -104,6 +110,43 @@ inline isc::FederationConfig chain_systems(std::size_t m, std::uint16_t procs,
     cfg.links.push_back(std::move(link));
   }
   return cfg;
+}
+
+/// True if a listener can bind `port` right now, probed the way
+/// net::tcp_listen binds (SO_REUSEADDR, any address).
+inline bool port_binds(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_port = htons(port);
+  const bool ok =
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::listen(fd, 1) == 0;
+  ::close(fd);
+  return ok;
+}
+
+/// Base of `count` consecutive ports that all bind right now (a mesh of n
+/// nodes listens on base .. base + n - 1). The base is random and below the
+/// Linux ephemeral range, so test binaries running side by side under
+/// ctest -j draw independent ranges and dialers' local ports stay out of
+/// the way. Returns 0 if 200 random draws all hit a busy port.
+inline std::uint16_t free_port_base(std::uint16_t count = 1) {
+  static std::mt19937 rng(std::random_device{}());
+  std::uniform_int_distribution<int> pick(20000, 32000 - count);
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    const auto base = static_cast<std::uint16_t>(pick(rng));
+    bool free = true;
+    for (std::uint16_t k = 0; free && k < count; ++k) {
+      free = port_binds(static_cast<std::uint16_t>(base + k));
+    }
+    if (free) return base;
+  }
+  return 0;
 }
 
 }  // namespace cim::test

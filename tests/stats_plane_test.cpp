@@ -37,13 +37,6 @@ namespace {
 using isc::Topology;
 using net::wire::StatsFrame;
 
-std::uint16_t test_port(std::uint16_t offset) {
-  // Same scheme as bridge_mesh_test, different offset range (120+): the two
-  // files' meshes must not collide under ctest -j.
-  return static_cast<std::uint16_t>(
-      20000 + (static_cast<std::uint32_t>(::getpid()) * 131) % 30000 + offset);
-}
-
 std::string tmp_path(const char* stem) {
   return std::string("/tmp/cim_") + stem + "_" + std::to_string(::getpid()) +
          ".json";
@@ -292,12 +285,13 @@ TEST(MeshStats, HeartbeatRttWidensUnderStallButOffsetStaysBounded) {
   // CLOCK_MONOTONIC), so |offset| <= best_rtt/2 always — even when every
   // observed sample is stall-inflated.
   net::FaultHooks hooks;
+  const std::uint16_t base = test::free_port_base(2);
   std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
   for (std::size_t i = 0; i < 2; ++i) {
     mesh::MeshConfig cfg;
     cfg.node_id = i;
     cfg.topo = isc::make_chain(2);
-    cfg.base_port = test_port(120);
+    cfg.base_port = base;
     cfg.procs = 2;
     cfg.ops = 2;  // keep data pressure off the heartbeat queue slot
     cfg.seed = 5;
@@ -353,12 +347,13 @@ TEST(MeshStats, HeartbeatRttWidensUnderStallButOffsetStaysBounded) {
 TEST(MeshStats, Node0SnapshotCoversEveryNodeOfABtree4) {
   const std::string fed_path = tmp_path("fed_snapshot");
   std::remove(fed_path.c_str());
+  const std::uint16_t base = test::free_port_base(4);
   std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
   for (std::size_t i = 0; i < 4; ++i) {
     mesh::MeshConfig cfg;
     cfg.node_id = i;
     cfg.topo = isc::make_btree(4);
-    cfg.base_port = test_port(130);
+    cfg.base_port = base;
     cfg.procs = 2;
     cfg.ops = 30;
     cfg.seed = 9;
