@@ -131,6 +131,27 @@ else
   done
 fi
 
+# docs/PROTOCOLS.md describes every MCS-protocol: each protocol_name()
+# string in src/protocols needs a "## <name>" heading there.
+protocols_doc="$root/docs/PROTOCOLS.md"
+if [ ! -f "$protocols_doc" ]; then
+  echo "check_docs: missing $protocols_doc" >&2
+  status=1
+else
+  names="$(grep -rhoE 'protocol_name\(\) const override \{ return "[^"]+"' \
+      "$root"/src/protocols | sed -E 's/.*return "([^"]+)"/\1/' | sort -u)"
+  if [ -z "$names" ]; then
+    echo "check_docs: no protocol_name() found in src/protocols" >&2
+    status=1
+  fi
+  for name in $names; do
+    if ! grep -Eq "^## ${name}( |\$)" "$protocols_doc"; then
+      echo "check_docs: protocol '${name}' has no '## ${name}' heading in docs/PROTOCOLS.md" >&2
+      status=1
+    fi
+  done
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

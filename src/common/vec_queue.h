@@ -29,6 +29,11 @@ class VecQueue {
 
   void push_back(T value) { buf_.push_back(std::move(value)); }
 
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
+    buf_.emplace_back(std::forward<Args>(args)...);
+  }
+
   T& front() {
     CIM_DCHECK(!empty());
     return buf_[head_];

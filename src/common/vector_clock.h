@@ -1,8 +1,10 @@
 // Vector clocks over the processes of one system, with small-vector storage.
 //
-// Used by the propagation-based MCS protocols (ANBKH, lazy-batch) to track
-// the causal order of write operations within a system. Entry i counts the
-// number of writes by local process i that the owner has applied.
+// Used by the vector-clock causal protocols (ANBKH, lazy-batch, partial-rep
+// and the CBCAST substrate of cbcast-dsm) to track the causal order of write
+// operations within a system. Entry i counts the number of writes by local
+// process i that the owner has applied; ready_at() is the delivery rule their
+// shared CausalReadyQueue (common/causal_ready_queue.h) applies.
 //
 // A clock is stamped onto every update message, so its representation is on
 // the simulate→send→deliver→apply hot path. Up to kInline (8) entries live

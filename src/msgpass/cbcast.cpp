@@ -10,7 +10,7 @@ namespace cim::mp {
 CbcastMember::CbcastMember(std::uint16_t index, std::uint16_t group_size,
                            CbTransport& transport, DeliverFn deliver)
     : index_(index), group_size_(group_size), transport_(transport),
-      deliver_(std::move(deliver)), clock_(group_size) {
+      deliver_(std::move(deliver)), clock_(group_size), pending_(group_size) {
   CIM_CHECK(index < group_size);
   CIM_CHECK_MSG(deliver_ != nullptr, "cbcast member needs a deliver callback");
 }
@@ -33,24 +33,18 @@ void CbcastMember::on_network(net::MessagePtr msg) {
                  "unexpected message type in cbcast");
   auto* cb = static_cast<CbcastMsg*>(msg.get());
   CIM_DCHECK_MSG(cb->sender != index_, "cbcast echo");
-  pending_.push_back(std::move(*cb));
+  pending_.push(cb->sender, std::move(*cb));
   try_deliver();
 }
 
 void CbcastMember::try_deliver() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (!it->clock.ready_at(clock_, it->sender)) continue;
-      CbcastMsg msg = std::move(*it);
-      pending_.erase(it);
-      clock_.set(msg.sender, msg.clock[msg.sender]);
-      ++delivered_;
-      deliver_(msg.sender, msg.payload);
-      progress = true;
-      break;
-    }
+  for (std::size_t sender = pending_.ready_writer(clock_);
+       sender != pending_.kNone; sender = pending_.ready_writer(clock_)) {
+    // Pop before delivering: the deliver callback may broadcast.
+    const CbPayload payload = pending_.head(sender).payload;
+    pending_.pop(sender);
+    clock_.tick(sender);
+    deliver_(static_cast<std::uint16_t>(sender), payload);
   }
 }
 

@@ -11,13 +11,15 @@
 //
 // The member is transport-agnostic: it hands outgoing messages to a
 // CbTransport (one per member) and is fed incoming messages through
-// on_network(); the DSM layer adapts this to the MCS channel mesh.
+// on_network(); the DSM layer adapts this to the MCS channel mesh. Received
+// messages wait in a CausalReadyQueue (common/causal_ready_queue.h) until
+// causally ready.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "common/causal_ready_queue.h"
 #include "common/ids.h"
 #include "common/value.h"
 #include "common/vector_clock.h"
@@ -74,7 +76,6 @@ class CbcastMember {
 
   const VectorClock& clock() const { return clock_; }
   std::size_t buffered() const { return pending_.size(); }
-  std::uint64_t delivered() const { return delivered_; }
 
  private:
   void try_deliver();
@@ -84,10 +85,7 @@ class CbcastMember {
   CbTransport& transport_;
   DeliverFn deliver_;
   VectorClock clock_;
-  // vector, not deque: order-preserving erase keeps FIFO-per-sender scans
-  // deterministic and the retained capacity keeps steady state allocation-free.
-  std::vector<CbcastMsg> pending_;
-  std::uint64_t delivered_ = 0;
+  CausalReadyQueue<CbcastMsg> pending_;
 };
 
 }  // namespace cim::mp

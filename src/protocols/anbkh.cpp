@@ -8,7 +8,7 @@
 namespace cim::proto {
 
 AnbkhProcess::AnbkhProcess(const mcs::McsContext& ctx)
-    : McsProcess(ctx), clock_(ctx.num_procs) {}
+    : McsProcess(ctx), clock_(ctx.num_procs), pending_(ctx.num_procs) {}
 
 Value AnbkhProcess::replica_value(VarId var) const {
   return store_.get(var);
@@ -48,49 +48,43 @@ void AnbkhProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   auto* update = static_cast<TimestampedUpdate*>(msg.get());
   CIM_DCHECK(update->writer == sender_of(from));
   update->received_at = simulator().now();
-  pending_.push_back(std::move(*update));
+  pending_.push(update->writer, std::move(*update));
   note_update_buffered(pending_.size());
-  try_apply();
-}
-
-void AnbkhProcess::try_apply() {
   if (applying_) return;  // an apply chain is already in progress
   applying_ = true;
   apply_step();
 }
 
 void AnbkhProcess::apply_step() {
-  // Find the first causally ready pending update.
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (!it->clock.ready_at(clock_, it->writer)) continue;
-    // Unpack before erasing; capturing scalars (not the whole update with
-    // its clock) keeps the apply closure inside SmallFn's inline buffer.
-    const VarId var = it->var;
-    const Value value = it->value;
-    const WriteId wid = it->write_id;
-    const sim::Time received_at = it->received_at;
-    const std::uint16_t writer = it->writer;
-    const std::uint64_t writer_ticks = it->clock[writer];
-    pending_.erase(it);
-
-    apply_with_upcalls(
-        var, value, wid, /*own_write=*/false,
-        /*apply=*/[this, var, value, wid, received_at, writer,
-                   writer_ticks]() {
-          clock_.set(writer, writer_ticks);
-          store_.set(var, value);
-          note_update_applied(var, value, wid, received_at);
-          if (observer() != nullptr) {
-            observer()->on_apply(id(), var, value, simulator().now());
-          }
-        },
-        /*done=*/[this]() {
-          // Continue the chain in a fresh event to bound recursion depth.
-          simulator().post([this]() { apply_step(); });
-        });
+  const std::size_t writer = pending_.ready_writer(clock_);
+  if (writer == pending_.kNone) {
+    applying_ = false;
     return;
   }
-  applying_ = false;
+  // Unpack and pop before the upcalls, which may buffer more updates; the
+  // scalars keep the apply closure inside SmallFn's inline buffer, and a
+  // ready update carries the writer's next tick.
+  const TimestampedUpdate& u = pending_.head(writer);
+  const VarId var = u.var;
+  const Value value = u.value;
+  const WriteId wid = u.write_id;
+  const sim::Time received_at = u.received_at;
+  pending_.pop(writer);
+
+  apply_with_upcalls(
+      var, value, wid, /*own_write=*/false,
+      /*apply=*/[this, var, value, wid, received_at, writer]() {
+        clock_.tick(writer);
+        store_.set(var, value);
+        note_update_applied(var, value, wid, received_at);
+        if (observer() != nullptr) {
+          observer()->on_apply(id(), var, value, simulator().now());
+        }
+      },
+      /*done=*/[this]() {
+        // Continue the chain in a fresh event to bound recursion depth.
+        simulator().post([this]() { apply_step(); });
+      });
 }
 
 mcs::ProtocolFactory anbkh_protocol() {

@@ -7,15 +7,16 @@
 //    with the clock, acknowledge immediately (writes are local operations);
 //  * read(x): return the local replica value immediately;
 //  * a remote update from writer q stamped with clock w applies when it is
-//    *causally ready*: w[q] == vt[q]+1 and w[j] <= vt[j] for j != q.
+//    *causally ready*: w[q] == vt[q]+1 and w[j] <= vt[j] for j != q. Ready
+//    updates wait in a CausalReadyQueue and apply one per simulator event,
+//    earliest arrival first.
 //
 // Causal Updating (Property 1) holds: replicas apply causally ordered writes
 // in causal order by the readiness rule, so the interconnect layer runs
 // IS-protocol 1 (Fig. 1) on systems using this protocol.
 #pragma once
 
-#include <vector>
-
+#include "common/causal_ready_queue.h"
 #include "common/vector_clock.h"
 #include "common/var_store.h"
 #include "mcs/mcs_process.h"
@@ -43,15 +44,11 @@ class AnbkhProcess final : public mcs::McsProcess {
                 mcs::WriteCallback cb) override;
 
  private:
-  void try_apply();
   void apply_step();
 
   VarStore store_;
   VectorClock clock_;
-  // vector, not deque: mid-erase shifts preserve arrival order (which the
-  // readiness scan depends on) and the retained capacity keeps the
-  // steady-state buffer allocation-free.
-  std::vector<TimestampedUpdate> pending_;
+  CausalReadyQueue<TimestampedUpdate> pending_;
   bool applying_ = false;
 };
 

@@ -7,39 +7,15 @@
 
 namespace cim::proto {
 
-AwSeqProcess::AwSeqProcess(const mcs::McsContext& ctx) : McsProcess(ctx) {}
-
-Value AwSeqProcess::replica_value(VarId var) const {
-  return store_.get(var);
-}
-
-void AwSeqProcess::handle_read(VarId var, mcs::ReadCallback cb) {
-  cb(replica_value(var));  // the local-read fast path
-}
-
-void AwSeqProcess::do_write(VarId var, Value value, WriteId wid,
-                            mcs::WriteCallback cb) {
-  note_update_issued(var, value, wid);
+void TobProcess::apply_at_issue(VarId var, Value value) {
+  store_.set(var, value);
   if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
+    observer()->on_apply(id(), var, value, simulator().now());
   }
-  if (has_upcall_handler()) {
-    // IS-process write: apply locally and acknowledge immediately (see the
-    // header comment for why blocking would deadlock the upcall discipline).
-    store_.set(var, value);
-    if (observer() != nullptr) {
-      observer()->on_apply(id(), var, value, simulator().now());
-    }
-    publish(var, value, wid, /*pre_applied=*/true);
-    cb();
-    return;
-  }
-  pending_write_acks_.push_back(std::move(cb));
-  publish(var, value, wid, /*pre_applied=*/false);
 }
 
-void AwSeqProcess::publish(VarId var, Value value, WriteId wid,
-                           bool pre_applied) {
+void TobProcess::publish(VarId var, Value value, WriteId wid,
+                         bool pre_applied) {
   TobPublish pub;
   pub.var = var;
   pub.value = value;
@@ -53,7 +29,7 @@ void AwSeqProcess::publish(VarId var, Value value, WriteId wid,
   }
 }
 
-void AwSeqProcess::sequence(const TobPublish& pub) {
+void TobProcess::sequence(const TobPublish& pub) {
   TobDeliver del;
   del.var = pub.var;
   del.value = pub.value;
@@ -68,7 +44,7 @@ void AwSeqProcess::sequence(const TobPublish& pub) {
   enqueue_delivery(del);  // self-delivery
 }
 
-void AwSeqProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
+void TobProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   if (auto* pub = dynamic_cast<TobPublish*>(msg.get())) {
     CIM_CHECK_MSG(is_sequencer(), "publish sent to a non-sequencer");
     CIM_CHECK(pub->origin == sender_of(from));
@@ -76,41 +52,40 @@ void AwSeqProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
     return;
   }
   auto* del = dynamic_cast<TobDeliver*>(msg.get());
-  CIM_CHECK_MSG(del != nullptr, "unexpected message type in aw-seq");
+  CIM_CHECK_MSG(del != nullptr, "unexpected message type in TOB process");
   enqueue_delivery(std::move(*del));
 }
 
-void AwSeqProcess::enqueue_delivery(TobDeliver del) {
-  CIM_CHECK_MSG(del.seq >= next_apply_seq_, "duplicate TOB delivery");
+void TobProcess::enqueue_delivery(TobDeliver del) {
+  // One sequencer and FIFO channels: deliveries arrive in sequence order.
+  CIM_CHECK_MSG(del.seq == next_apply_seq_ + deliveries_.size(),
+                "TOB delivery " << del.seq << " out of sequence");
   del.received_at = simulator().now();
-  delivery_buffer_.emplace(del.seq, std::move(del));
-  note_update_buffered(delivery_buffer_.size());
-  try_apply();
-}
-
-void AwSeqProcess::try_apply() {
-  if (applying_) return;
+  deliveries_.emplace_back(std::move(del));
+  note_update_buffered(deliveries_.size());
+  if (applying_) return;  // an apply chain is already in progress
   applying_ = true;
   apply_step();
 }
 
-void AwSeqProcess::apply_step() {
-  auto it = delivery_buffer_.find(next_apply_seq_);
-  if (it == delivery_buffer_.end()) {
+void TobProcess::apply_step() {
+  if (deliveries_.empty()) {
     applying_ = false;
     return;
   }
-  TobDeliver del = std::move(it->second);
-  delivery_buffer_.erase(it);
+  // Moved out before the upcalls, which may sequence more deliveries.
+  const TobDeliver del = std::move(deliveries_.front());
+  deliveries_.pop_front();
   ++next_apply_seq_;
+  apply_delivery(del, del.origin == local_index());
+}
 
-  const bool own = del.origin == local_index();
+void TobProcess::apply_sequenced(const TobDeliver& del, bool own,
+                                 mcs::DoneFn done) {
   apply_with_upcalls(
-      del.var, del.value, del.write_id, /*own_write=*/own,
+      del.var, del.value, del.write_id, own,
       /*apply=*/[this, own, var = del.var, value = del.value,
                  wid = del.write_id, received_at = del.received_at]() {
-        // For a pre-applied own write this is a (convergence-restoring)
-        // re-application at the update's global sequence position.
         store_.set(var, value);
         if (own) {
           note_update_applied(var, value, wid);
@@ -121,16 +96,40 @@ void AwSeqProcess::apply_step() {
           observer()->on_apply(id(), var, value, simulator().now());
         }
       },
-      /*done=*/[this, own, pre_applied = del.pre_applied]() {
-        if (own && !pre_applied) {
-          CIM_CHECK_MSG(!pending_write_acks_.empty(),
-                        "own delivery without a pending write");
-          mcs::WriteCallback ack = std::move(pending_write_acks_.front());
-          pending_write_acks_.pop_front();
-          ack();
-        }
-        simulator().post([this]() { apply_step(); });
-      });
+      std::move(done));
+}
+
+void AwSeqProcess::do_write(VarId var, Value value, WriteId wid,
+                            mcs::WriteCallback cb) {
+  note_update_issued(var, value, wid);
+  if (observer() != nullptr) {
+    observer()->on_write_issued(id(), var, value, simulator().now());
+  }
+  if (has_upcall_handler()) {
+    // IS-process write: apply locally and acknowledge immediately (see the
+    // header comment for why blocking would deadlock the upcall discipline).
+    apply_at_issue(var, value);
+    publish(var, value, wid, /*pre_applied=*/true);
+    cb();
+    return;
+  }
+  pending_write_acks_.push_back(std::move(cb));
+  publish(var, value, wid, /*pre_applied=*/false);
+}
+
+void AwSeqProcess::apply_delivery(const TobDeliver& del, bool own) {
+  // For a pre-applied own write this is a (convergence-restoring)
+  // re-application at the update's global sequence position.
+  apply_sequenced(del, own, [this, ack = own && !del.pre_applied]() {
+    if (ack) {
+      CIM_CHECK_MSG(!pending_write_acks_.empty(),
+                    "own delivery without a pending write");
+      mcs::WriteCallback cb = std::move(pending_write_acks_.front());
+      pending_write_acks_.pop_front();
+      cb();
+    }
+    next_delivery();
+  });
 }
 
 mcs::ProtocolFactory aw_seq_protocol() {

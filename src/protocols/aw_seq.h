@@ -1,5 +1,6 @@
 // Attiya–Welch "local read" sequentially consistent protocol [3], built on a
-// sequencer-based total-order broadcast (TOB).
+// sequencer-based total-order broadcast (TOB). The TOB core (TobProcess) is
+// shared with tob-causal (protocols/tob_causal.h).
 //
 //  * read(x): returns the local replica immediately (the fast operation);
 //  * write(x, v): the update is published to the system's sequencer (local
@@ -26,8 +27,6 @@
 // level the interconnection targets anyway; application processes still see
 // the pure total order.
 #pragma once
-
-#include <map>
 
 #include "common/vec_queue.h"
 #include "common/var_store.h"
@@ -65,37 +64,67 @@ struct TobDeliver final : net::Message {
   WriteId wid() const override { return write_id; }
 };
 
-class AwSeqProcess final : public mcs::McsProcess {
+/// The total-order-broadcast core of aw-seq and tob-causal. The sequencer
+/// (local process 0) numbers every published update and broadcasts it; each
+/// process buffers the deliveries, which arrive in sequence order over the
+/// sequencer's FIFO channel, and applies them one per simulator event
+/// through the upcall discipline. A subclass issues writes (do_write) and
+/// decides how each delivery applies (apply_delivery).
+class TobProcess : public mcs::McsProcess {
  public:
-  explicit AwSeqProcess(const mcs::McsContext& ctx);
-
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
+  void handle_read(VarId var, mcs::ReadCallback cb) override {
+    cb(replica_value(var));  // the local-read fast path
+  }
   void on_message(net::ChannelId from, net::MessagePtr msg) override;
 
   bool satisfies_causal_updating() const override { return true; }
-  const char* protocol_name() const override { return "aw-seq"; }
 
-  Value replica_value(VarId var) const;
+  Value replica_value(VarId var) const { return store_.get(var); }
   bool is_sequencer() const { return local_index() == 0; }
-  std::uint64_t applied_count() const { return next_apply_seq_; }
+
+ protected:
+  explicit TobProcess(const mcs::McsContext& ctx) : McsProcess(ctx) {}
+
+  /// Apply an own write to the local replica at issue time.
+  void apply_at_issue(VarId var, Value value);
+  /// Hand an update to the sequencer (directly, at the sequencer itself).
+  void publish(VarId var, Value value, WriteId wid, bool pre_applied);
+
+  /// Apply the next delivery in sequence order; must end in next_delivery(),
+  /// directly or from the done continuation of apply_sequenced().
+  virtual void apply_delivery(const TobDeliver& del, bool own) = 0;
+  /// Apply `del` to the replica through the upcall discipline, then `done`.
+  void apply_sequenced(const TobDeliver& del, bool own, mcs::DoneFn done);
+  /// Continue the apply chain in a fresh event (bounds recursion depth).
+  void next_delivery() {
+    simulator().post([this]() { apply_step(); });
+  }
+
+ private:
+  void sequence(const TobPublish& pub);
+  void enqueue_delivery(TobDeliver del);
+  void apply_step();
+
+  VarStore store_;
+  std::uint64_t next_seq_to_assign_ = 0;  // sequencer only
+  std::uint64_t next_apply_seq_ = 0;      // seq of deliveries_.front()
+  VecQueue<TobDeliver> deliveries_;
+  bool applying_ = false;
+};
+
+class AwSeqProcess final : public TobProcess {
+ public:
+  explicit AwSeqProcess(const mcs::McsContext& ctx) : TobProcess(ctx) {}
+
+  const char* protocol_name() const override { return "aw-seq"; }
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  void apply_delivery(const TobDeliver& del, bool own) override;
 
  private:
-  void publish(VarId var, Value value, WriteId wid, bool pre_applied);
-  void sequence(const TobPublish& pub);
-  void enqueue_delivery(TobDeliver del);
-  void try_apply();
-  void apply_step();
-
-  VarStore store_;
-  std::uint64_t next_seq_to_assign_ = 0;       // sequencer only
-  std::uint64_t next_apply_seq_ = 0;           // next sequence number to apply
-  std::map<std::uint64_t, TobDeliver> delivery_buffer_;
   VecQueue<mcs::WriteCallback> pending_write_acks_;  // FIFO, own writes
-  bool applying_ = false;
 };
 
 /// Factory for mcs::SystemConfig::protocol.

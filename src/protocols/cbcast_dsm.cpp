@@ -39,8 +39,9 @@ void CbcastDsmProcess::send_to_member(std::uint16_t member,
 }
 
 void CbcastDsmProcess::on_message(net::ChannelId, net::MessagePtr msg) {
+  // Occupancy right after insertion, sampled before ready messages drain.
+  note_update_buffered(member_.buffered() + 1);
   member_.on_network(std::move(msg));
-  note_update_buffered(member_.buffered());
 }
 
 void CbcastDsmProcess::on_deliver(std::uint16_t sender,

@@ -36,7 +36,6 @@ class CbcastDsmProcess final : public mcs::McsProcess,
   const char* protocol_name() const override { return "cbcast-dsm"; }
 
   Value replica_value(VarId var) const;
-  const mp::CbcastMember& member() const { return member_; }
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,

@@ -10,7 +10,8 @@ namespace cim::proto {
 
 LazyBatchProcess::LazyBatchProcess(const mcs::McsContext& ctx,
                                    LazyBatchConfig config)
-    : McsProcess(ctx), config_(config), clock_(ctx.num_procs) {}
+    : McsProcess(ctx), config_(config), clock_(ctx.num_procs),
+      pending_(ctx.num_procs) {}
 
 Value LazyBatchProcess::replica_value(VarId var) const {
   return store_.get(var);
@@ -49,7 +50,7 @@ void LazyBatchProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   auto* update = static_cast<TimestampedUpdate*>(msg.get());
   CIM_DCHECK(update->writer == sender_of(from));
   update->received_at = simulator().now();
-  pending_.push_back(std::move(*update));
+  pending_.push(update->writer, std::move(*update));
   note_update_buffered(pending_.size());
   schedule_batch();
 }
@@ -61,25 +62,6 @@ void LazyBatchProcess::schedule_batch() {
     batch_scheduled_ = false;
     run_batch();
   });
-}
-
-void LazyBatchProcess::collect_ready(VectorClock& tentative,
-                                     std::vector<TimestampedUpdate>& batch) {
-  // Repeatedly extract updates that are causally ready with respect to the
-  // tentative clock; the result is the maximal applicable set, listed in
-  // causal order.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (!it->clock.ready_at(tentative, it->writer)) continue;
-      tentative.set(it->writer, it->clock[it->writer]);
-      batch.push_back(std::move(*it));
-      pending_.erase(it);
-      progress = true;
-      break;
-    }
-  }
 }
 
 void LazyBatchProcess::order_batch(std::vector<TimestampedUpdate>& batch) {
@@ -120,7 +102,15 @@ void LazyBatchProcess::run_batch() {
   VectorClock tentative = clock_;
   std::vector<TimestampedUpdate>& batch = batch_scratch_;
   batch.clear();
-  collect_ready(tentative, batch);
+  // Repeatedly extract the update that is causally ready with respect to
+  // the tentative clock; the result is the maximal applicable set, listed in
+  // causal order.
+  for (std::size_t writer = pending_.ready_writer(tentative);
+       writer != pending_.kNone; writer = pending_.ready_writer(tentative)) {
+    tentative.tick(writer);
+    batch.push_back(std::move(pending_.head(writer)));
+    pending_.pop(writer);
+  }
   if (batch.empty()) return;
 
   // Values are unique per execution (paper assumption), so they identify

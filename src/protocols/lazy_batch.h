@@ -3,8 +3,9 @@
 //
 // Like ANBKH it replicates fully and stamps updates with vector clocks, but
 // remote updates are buffered and applied in periodic *batches*: every
-// batch_interval, the maximal causally-applicable set of buffered updates is
-// applied atomically within one simulator event. Because application
+// batch_interval, the maximal causally-applicable set of buffered updates
+// (drained from the CausalReadyQueue against a tentative clock that advances
+// with each update taken) is applied atomically within one simulator event. Because application
 // processes can never read an intermediate state of a batch, the protocol
 // may apply the batch's updates to *different variables* in any order while
 // remaining causal — updates to the same variable always keep their causal
@@ -25,6 +26,7 @@
 
 #include <vector>
 
+#include "common/causal_ready_queue.h"
 #include "common/vector_clock.h"
 #include "common/var_store.h"
 #include "mcs/mcs_process.h"
@@ -68,16 +70,13 @@ class LazyBatchProcess final : public mcs::McsProcess {
  private:
   void schedule_batch();
   void run_batch();
-  void collect_ready(VectorClock& tentative,
-                     std::vector<TimestampedUpdate>& batch);
   void order_batch(std::vector<TimestampedUpdate>& batch);
 
   LazyBatchConfig config_;
   VarStore store_;
   VectorClock clock_;
-  // vectors, not deques: order-preserving erase/append with retained
-  // capacity, so steady-state batching stops touching the allocator.
-  std::vector<TimestampedUpdate> pending_;
+  CausalReadyQueue<TimestampedUpdate> pending_;
+  // Retained capacity: steady-state batching stops touching the allocator.
   std::vector<TimestampedUpdate> batch_scratch_;
   std::vector<Value> causal_scratch_;
   bool batch_scheduled_ = false;

@@ -11,7 +11,8 @@ PartialRepProcess::PartialRepProcess(const mcs::McsContext& ctx,
                                      InterestFn interest,
                                      std::uint16_t app_process_count)
     : McsProcess(ctx), interest_(std::move(interest)),
-      app_process_count_(app_process_count), clock_(ctx.num_procs) {
+      app_process_count_(app_process_count), clock_(ctx.num_procs),
+      pending_(ctx.num_procs) {
   CIM_CHECK_MSG(interest_ != nullptr, "partial-rep needs an interest function");
 }
 
@@ -58,7 +59,7 @@ void PartialRepProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
   auto* update = static_cast<PartialUpdate*>(msg.get());
   CIM_DCHECK(update->writer == sender_of(from));
   update->received_at = simulator().now();
-  pending_.push_back(std::move(*update));
+  pending_.push(update->writer, std::move(*update));
   note_update_buffered(pending_.size());
   if (!applying_) {
     applying_ = true;
@@ -67,42 +68,39 @@ void PartialRepProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
 }
 
 void PartialRepProcess::apply_step() {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (!it->clock.ready_at(clock_, it->writer)) continue;
-    // Unpack scalars before erasing (keeps the apply closure within
-    // SmallFn's inline buffer — see anbkh.cpp).
-    const bool has_value = it->has_value;
-    const VarId var = it->var;
-    const Value value = it->value;
-    const WriteId wid = it->write_id;
-    const sim::Time received_at = it->received_at;
-    const std::uint16_t writer = it->writer;
-    const std::uint64_t writer_ticks = it->clock[writer];
-    pending_.erase(it);
-
-    if (!has_value) {
-      // Causal marker: advance knowledge, nothing to store or announce.
-      clock_.set(writer, writer_ticks);
-      simulator().post([this]() { apply_step(); });
-      return;
-    }
-    apply_with_upcalls(
-        var, value, wid, /*own_write=*/false,
-        /*apply=*/[this, var, value, wid, received_at, writer,
-                   writer_ticks]() {
-          clock_.set(writer, writer_ticks);
-          store_.set(var, value);
-          note_update_applied(var, value, wid, received_at);
-          if (observer() != nullptr) {
-            observer()->on_apply(id(), var, value, simulator().now());
-          }
-        },
-        /*done=*/[this]() {
-          simulator().post([this]() { apply_step(); });
-        });
+  const std::size_t writer = pending_.ready_writer(clock_);
+  if (writer == pending_.kNone) {
+    applying_ = false;
     return;
   }
-  applying_ = false;
+  // Unpack scalars and pop before the upcalls (see anbkh.cpp).
+  const PartialUpdate& u = pending_.head(writer);
+  const bool has_value = u.has_value;
+  const VarId var = u.var;
+  const Value value = u.value;
+  const WriteId wid = u.write_id;
+  const sim::Time received_at = u.received_at;
+  pending_.pop(writer);
+
+  if (!has_value) {
+    // Causal marker: advance knowledge, nothing to store or announce.
+    clock_.tick(writer);
+    simulator().post([this]() { apply_step(); });
+    return;
+  }
+  apply_with_upcalls(
+      var, value, wid, /*own_write=*/false,
+      /*apply=*/[this, var, value, wid, received_at, writer]() {
+        clock_.tick(writer);
+        store_.set(var, value);
+        note_update_applied(var, value, wid, received_at);
+        if (observer() != nullptr) {
+          observer()->on_apply(id(), var, value, simulator().now());
+        }
+      },
+      /*done=*/[this]() {
+        simulator().post([this]() { apply_step(); });
+      });
 }
 
 mcs::ProtocolFactory partial_rep_protocol(InterestFn interest,

@@ -6,7 +6,8 @@
 // Writes carry the full value only to interested peers; uninterested peers
 // receive a small *causal marker* (writer + vector clock, no payload) that
 // advances their causal knowledge without shipping data. The vector-clock
-// delivery discipline is exactly ANBKH's, so causality is preserved; the
+// delivery discipline is exactly ANBKH's (updates and markers share one
+// CausalReadyQueue lane per writer), so causality is preserved; the
 // savings appear in bytes on the wire (bench_partial_replication) — the
 // motivation of the cited work.
 //
@@ -21,8 +22,8 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
+#include "common/causal_ready_queue.h"
 #include "common/vector_clock.h"
 #include "common/var_store.h"
 #include "mcs/mcs_process.h"
@@ -87,7 +88,7 @@ class PartialRepProcess final : public mcs::McsProcess {
   std::uint16_t app_process_count_;
   VarStore store_;
   VectorClock clock_;
-  std::vector<PartialUpdate> pending_;  // order-preserving erase, see anbkh.h
+  CausalReadyQueue<PartialUpdate> pending_;  // updates and markers alike
   bool applying_ = false;
 };
 

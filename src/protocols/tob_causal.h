@@ -35,46 +35,26 @@
 // Updating Property and interconnects with IS-protocol 1.
 #pragma once
 
-#include <map>
-
-#include "common/var_store.h"
-#include "mcs/mcs_process.h"
-#include "protocols/aw_seq.h"  // TobPublish / TobDeliver wire format
+#include "protocols/aw_seq.h"  // TobProcess, the shared TOB core
 
 namespace cim::proto {
 
-class TobCausalProcess final : public mcs::McsProcess {
+class TobCausalProcess final : public TobProcess {
  public:
-  explicit TobCausalProcess(const mcs::McsContext& ctx);
+  explicit TobCausalProcess(const mcs::McsContext& ctx) : TobProcess(ctx) {}
 
-  void handle_read(VarId var, mcs::ReadCallback cb) override;
-  void on_message(net::ChannelId from, net::MessagePtr msg) override;
-
-  bool satisfies_causal_updating() const override { return true; }
   const char* protocol_name() const override { return "tob-causal"; }
 
-  Value replica_value(VarId var) const;
-  bool is_sequencer() const { return local_index() == 0; }
   /// Own deliveries skipped because the write was applied at issue time.
   std::uint64_t own_deliveries_skipped() const { return own_skipped_; }
 
  protected:
   void do_write(VarId var, Value value, WriteId wid,
                 mcs::WriteCallback cb) override;
+  void apply_delivery(const TobDeliver& del, bool own) override;
 
  private:
-  void publish(VarId var, Value value, WriteId wid, bool pre_applied);
-  void sequence(const TobPublish& pub);
-  void enqueue_delivery(TobDeliver del);
-  void try_apply();
-  void apply_step();
-
-  VarStore store_;
-  std::uint64_t next_seq_to_assign_ = 0;  // sequencer only
-  std::uint64_t next_apply_seq_ = 0;
-  std::map<std::uint64_t, TobDeliver> delivery_buffer_;
   std::uint64_t own_skipped_ = 0;
-  bool applying_ = false;
 };
 
 /// Factory for mcs::SystemConfig::protocol.

@@ -1,5 +1,6 @@
-// Vector-clock-stamped update message shared by the propagation-based
-// causal protocols (ANBKH and lazy-batch).
+// Vector-clock-stamped update message of ANBKH and lazy-batch ("vc.update"
+// on the wire). Receivers buffer it in a CausalReadyQueue lane keyed by
+// `writer` until it is causally ready.
 #pragma once
 
 #include "common/ids.h"

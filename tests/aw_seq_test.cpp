@@ -46,6 +46,28 @@ TEST(AwSeq, SequencerWriteAcksAfterSelfDelivery) {
   EXPECT_TRUE(acked);
 }
 
+// Deliveries come from one sequencer over a FIFO channel, so the TOB core
+// buffers them strictly in sequence order and rejects anything else.
+TEST(AwSeq, OutOfSequenceDeliveryThrows) {
+  isc::Federation fed(test::single_system(2, aw_seq_protocol()));
+  auto deliver = [&](std::uint64_t seq) {
+    auto del = std::make_unique<TobDeliver>();
+    del->var = Y;
+    del->value = 40 + static_cast<Value>(seq);
+    del->seq = seq;
+    fed.system(0).mcs(1).on_message(net::ChannelId{}, std::move(del));
+  };
+  EXPECT_THROW(deliver(1), InvariantViolation);  // seq 0 is missing
+  deliver(0);
+  fed.run();
+  EXPECT_THROW(deliver(0), InvariantViolation);  // duplicate
+  EXPECT_THROW(deliver(2), InvariantViolation);  // gap
+  deliver(1);
+  fed.run();
+  EXPECT_EQ(
+      dynamic_cast<AwSeqProcess&>(fed.system(0).mcs(1)).replica_value(Y), 41);
+}
+
 TEST(AwSeq, ReadYourWrites) {
   isc::Federation fed(test::single_system(3, aw_seq_protocol()));
   Value got = -1;

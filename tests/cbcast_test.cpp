@@ -151,6 +151,39 @@ TEST(CbcastDsm, Traits) {
   EXPECT_STREQ(fed.system(0).mcs(0).protocol_name(), "cbcast-dsm");
 }
 
+// proto.buffer_occupancy samples the buffer right after an insert
+// (docs/OBSERVABILITY.md), before ready messages drain: a message that is
+// ready on arrival counts itself.
+TEST(CbcastDsm, BufferOccupancyIsSampledAtInsert) {
+  for (const bool jitter : {false, true}) {
+    isc::FederationConfig cfg = test::single_system(3, cbcast_dsm_protocol());
+    if (jitter) {
+      cfg.systems[0].intra_delay = [] {
+        return std::make_unique<net::UniformDelay>(sim::microseconds(100),
+                                                   sim::milliseconds(15));
+      };
+    }
+    isc::Federation fed(std::move(cfg));
+    wl::UniformConfig wc;
+    wc.ops_per_process = jitter ? 30 : 1;
+    wc.write_fraction = jitter ? 0.5 : 1.0;
+    auto runners = wl::install_uniform(fed, wc);
+    fed.run();
+
+    const chk::History history = fed.federation_history();
+    std::size_t writes = 0;
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      writes += history.is_write(i) ? 1 : 0;
+    }
+    const obs::MetricsSnapshot snap = fed.metrics_snapshot();
+    const auto* occ = snap.find("proto.buffer_occupancy");
+    ASSERT_NE(occ, nullptr);
+    EXPECT_EQ(occ->summary.count, 2 * writes);  // each write reaches 2 peers
+    EXPECT_EQ(occ->summary.min.ns, 1) << "jitter " << jitter;
+    if (jitter) EXPECT_GT(occ->summary.max.ns, 1);
+  }
+}
+
 class CbcastDsmRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CbcastDsmRandom, RandomWorkloadIsCausal) {
