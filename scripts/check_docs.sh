@@ -152,6 +152,21 @@ else
   done
 fi
 
+# docs/OBSERVABILITY.md's online-monitor paragraph must say how the monitor
+# is fed: it is a MemoryObserver on the write-lifecycle stream, not a trace
+# consumer that turns tracing on.
+obs_doc="$root/docs/OBSERVABILITY.md"
+monitor_par="$(awk '/^The monitor is a bounded-memory/{p=1} p&&/^$/{exit} p' \
+    "$obs_doc" 2>/dev/null)"
+if ! printf '%s\n' "$monitor_par" | grep -q "MemoryObserver"; then
+  echo "check_docs: the monitor paragraph of docs/OBSERVABILITY.md does not name MemoryObserver" >&2
+  status=1
+fi
+if grep -rlq "forces tracing on" "$root"/docs; then
+  echo "check_docs: docs/ still claims the monitor forces tracing on" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

@@ -1,112 +1,30 @@
 #include "checker/online_monitor.h"
 
 #include <algorithm>
-#include <string_view>
 
 namespace cim::chk {
 
-namespace {
-
-const obs::TraceField* find_field(const obs::TraceEvent& ev,
-                                  std::string_view key) {
-  for (std::uint8_t k = 0; k < ev.num_fields; ++k) {
-    const obs::TraceField& f = ev.fields[k];
-    if (f.key != nullptr && key == f.key) return &f;
-  }
-  return nullptr;
-}
-
-std::int64_t live_int(const obs::TraceEvent& ev, std::string_view key) {
-  const obs::TraceField* f = find_field(ev, key);
-  if (f == nullptr) return 0;
-  switch (f->kind) {
-    case obs::TraceField::Kind::kInt: return f->i;
-    case obs::TraceField::Kind::kUint: return static_cast<std::int64_t>(f->u);
-    default: return 0;
-  }
-}
-
-bool live_proc(const obs::TraceEvent& ev, std::string_view key, ProcId& out) {
-  const obs::TraceField* f = find_field(ev, key);
-  if (f == nullptr || f->kind != obs::TraceField::Kind::kProc) return false;
-  out = ProcId{SystemId{static_cast<std::uint16_t>(f->proc >> 16)},
-               static_cast<std::uint16_t>(f->proc & 0xFFFF)};
-  return true;
-}
-
-}  // namespace
-
-OnlineMonitor::OnlineMonitor(MonitorOptions opts) : opts_(opts) {}
-
-std::uint32_t OnlineMonitor::required_category_mask() {
-  return obs::category_bit(obs::TraceCategory::kMcs) |
-         obs::category_bit(obs::TraceCategory::kProto) |
-         obs::category_bit(obs::TraceCategory::kChk);
-}
-
-void OnlineMonitor::attach(obs::TraceSink* sink,
-                           obs::MetricsRegistry* metrics) {
-  sink_ = sink;
-  if (metrics != nullptr) {
-    m_violations_ = &metrics->counter("checker.violations");
-  }
-  if (sink_ != nullptr) {
-    sink_->set_listener(
-        [this](const obs::TraceEvent& ev) { observe(ev); });
-  }
-}
-
-void OnlineMonitor::detach() {
-  if (sink_ != nullptr) sink_->set_listener(nullptr);
-  sink_ = nullptr;
-}
-
-void OnlineMonitor::observe(const obs::TraceEvent& ev) {
-  if (ev.cat == obs::TraceCategory::kChk) return;  // our own emissions
-  ++events_seen_;
-  const std::string_view name = ev.name;
-  if (ev.cat == obs::TraceCategory::kMcs) {
-    ProcId proc{};
-    if (!live_proc(ev, "proc", proc)) return;
-    if (name == "write_issue") {
-      on_write_issue(ev.t.ns, proc,
-                     WriteId{static_cast<std::uint64_t>(live_int(ev, "wid"))},
-                     VarId{static_cast<std::uint32_t>(live_int(ev, "var"))},
-                     live_int(ev, "val"));
-    } else if (name == "read_done") {
-      on_read_done(ev.t.ns, proc,
-                   VarId{static_cast<std::uint32_t>(live_int(ev, "var"))},
-                   live_int(ev, "val"));
-    }
-  } else if (ev.cat == obs::TraceCategory::kProto &&
-             name == "update_applied") {
-    ProcId proc{};
-    if (!live_proc(ev, "proc", proc)) return;
-    on_update_applied(
-        ev.t.ns, proc,
-        WriteId{static_cast<std::uint64_t>(live_int(ev, "wid"))});
-  }
-}
+OnlineMonitor::OnlineMonitor(obs::TraceSink* sink,
+                             obs::MetricsRegistry* metrics)
+    : sink_(sink),
+      m_violations_(metrics != nullptr ? &metrics->counter("checker.violations")
+                                       : nullptr) {}
 
 void OnlineMonitor::observe(const obs::ParsedTraceEvent& ev) {
-  if (ev.cat == "chk") return;
-  ++events_seen_;
-  if (ev.cat == "mcs") {
-    ProcId proc{};
-    if (!ev.field_proc("proc", proc)) return;
-    if (ev.name == "write_issue") {
-      on_write_issue(ev.t, proc, ev.wid(),
-                     VarId{static_cast<std::uint32_t>(ev.field_int("var"))},
-                     ev.field_int("val"));
-    } else if (ev.name == "read_done") {
-      on_read_done(ev.t, proc,
-                   VarId{static_cast<std::uint32_t>(ev.field_int("var"))},
-                   ev.field_int("val"));
-    }
-  } else if (ev.cat == "proto" && ev.name == "update_applied") {
-    ProcId proc{};
-    if (!ev.field_proc("proc", proc)) return;
-    on_update_applied(ev.t, proc, ev.wid());
+  const bool issue = ev.cat == "mcs" && ev.name == "write_issue";
+  const bool read = ev.cat == "mcs" && ev.name == "read_done";
+  const bool applied = ev.cat == "proto" && ev.name == "update_applied";
+  ProcId proc{};
+  if (!(issue || read || applied) || !ev.field_proc("proc", proc)) return;
+  const VarId var{static_cast<std::uint32_t>(ev.field_int("var"))};
+  const Value value = ev.field_int("val");
+  const sim::Time t{ev.t};
+  if (issue) {
+    on_write_issued(proc, var, value, ev.wid(), t);
+  } else if (read) {
+    on_read_done(proc, var, value, t);
+  } else {
+    on_apply(proc, var, value, ev.wid(), /*at_issue=*/false, t);
   }
 }
 
@@ -115,14 +33,15 @@ void OnlineMonitor::learn(ProcId proc, WriteId wid) {
   k = std::max(k, wid.seq());
 }
 
-void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
-                                   VarId var, Value value) {
+void OnlineMonitor::on_write_issued(ProcId proc, VarId var, Value value,
+                                    WriteId wid, sim::Time) {
+  ++events_seen_;
   if (!wid.valid()) return;
   // Record the write (idempotent: an IS-process re-issuing a foreign write
   // carries the same wid and value).
   if (by_value_.try_emplace(value, WriteInfo{wid, var}).second) {
     by_value_order_.push_back(value);
-    while (by_value_order_.size() > opts_.max_tracked_values) {
+    while (by_value_order_.size() > kMaxTrackedValues) {
       by_value_.erase(by_value_order_.front());
       by_value_order_.pop_front();
     }
@@ -130,64 +49,68 @@ void OnlineMonitor::on_write_issue(std::int64_t, ProcId proc, WriteId wid,
   std::deque<std::uint32_t>& seqs = writes_[key(pack(wid.origin()), var.value)];
   if (seqs.empty() || seqs.back() < wid.seq()) {
     seqs.push_back(wid.seq());
-    while (seqs.size() > opts_.max_writes_per_var) seqs.pop_front();
+    while (seqs.size() > kMaxWritesPerVar) seqs.pop_front();
   }
   // The origin knows its own writes; re-issues elsewhere teach nothing.
   if (proc == wid.origin()) learn(proc, wid);
 }
 
-void OnlineMonitor::on_read_done(std::int64_t t, ProcId proc, VarId var,
-                                 Value value) {
+void OnlineMonitor::on_read_done(ProcId proc, VarId var, Value value,
+                                 sim::Time now) {
+  ++events_seen_;
+  const std::int64_t t = now.ns;
   const auto hit = by_value_.find(value);
   const WriteId got =
       hit != by_value_.end() ? hit->second.wid : WriteId{};  // invalid = init
 
-  if (opts_.check_read_monotonic) {
-    std::uint64_t rk = key(pack(proc), var.value);
-    auto prev = last_read_.find(rk);
-    if (prev != last_read_.end() && got.valid() &&
-        prev->second.origin() == got.origin() &&
-        got.seq() < prev->second.seq()) {
-      report(Violation{"read_regress", t, proc, var, got,
-                       prev->second.seq(), got.seq()});
-    }
-    last_read_[rk] = got;
+  const std::uint64_t rk = key(pack(proc), var.value);
+  const auto prev = last_read_.find(rk);
+  if (prev != last_read_.end() && got.valid() &&
+      prev->second.origin() == got.origin() &&
+      got.seq() < prev->second.seq()) {
+    report(Violation{"read_regress", t, proc, var, got, prev->second.seq(),
+                     got.seq()});
   }
+  last_read_[rk] = got;
 
-  if (opts_.check_writes_into) {
-    // The newest write to `var` among those the reader causally knows: for
-    // each origin o, the largest seq s* with (o wrote var at s*) and
-    // s* <= knows_[proc][o]. Reading anything older than s* (the initial
-    // value, or an overwritten write of the same origin) violates
-    // writes-into order.
-    for (const auto& [ko, known_seq] : knows_) {
-      if (std::uint32_t(ko >> 32) != pack(proc)) continue;
-      const std::uint32_t origin_packed = std::uint32_t(ko);
-      const auto ws = writes_.find(key(origin_packed, var.value));
-      if (ws == writes_.end()) continue;
-      // seqs are ascending: find the largest <= known_seq.
-      const std::deque<std::uint32_t>& seqs = ws->second;
-      auto it = std::upper_bound(seqs.begin(), seqs.end(), known_seq);
-      if (it == seqs.begin()) continue;
-      const std::uint32_t star = *std::prev(it);
-      const bool same_origin = got.valid() && pack(got.origin()) == origin_packed;
-      const bool stale = !got.valid() || (same_origin && got.seq() < star);
-      if (stale) {
-        const ProcId origin{SystemId{std::uint16_t(origin_packed >> 16)},
-                            std::uint16_t(origin_packed & 0xFFFF)};
-        report(Violation{"stale_read", t, proc, var,
-                         got.valid() ? got : WriteId::make(origin, star),
-                         star, got.valid() ? got.seq() : 0});
-      }
+  // Writes-into: the newest write to `var` among those the reader causally
+  // knows is, for each origin o, the largest seq s* with (o wrote var at s*)
+  // and s* <= knows_[proc][o]. Reading anything older than s* (the initial
+  // value, or an overwritten write of the same origin) violates writes-into
+  // order.
+  for (const auto& [ko, known_seq] : knows_) {
+    if (std::uint32_t(ko >> 32) != pack(proc)) continue;
+    const std::uint32_t origin_packed = std::uint32_t(ko);
+    const auto ws = writes_.find(key(origin_packed, var.value));
+    if (ws == writes_.end()) continue;
+    // seqs are ascending: find the largest <= known_seq.
+    const std::deque<std::uint32_t>& seqs = ws->second;
+    auto it = std::upper_bound(seqs.begin(), seqs.end(), known_seq);
+    if (it == seqs.begin()) continue;
+    const std::uint32_t star = *std::prev(it);
+    const bool same_origin = got.valid() && pack(got.origin()) == origin_packed;
+    const bool stale = !got.valid() || (same_origin && got.seq() < star);
+    if (stale) {
+      const ProcId origin{SystemId{std::uint16_t(origin_packed >> 16)},
+                          std::uint16_t(origin_packed & 0xFFFF)};
+      report(Violation{"stale_read", t, proc, var,
+                       got.valid() ? got : WriteId::make(origin, star), star,
+                       got.valid() ? got.seq() : 0});
     }
   }
 
   if (got.valid()) learn(proc, got);
 }
 
-void OnlineMonitor::on_update_applied(std::int64_t t, ProcId proc,
-                                      WriteId wid) {
-  if (!wid.valid() || !opts_.check_fifo_apply) return;
+void OnlineMonitor::on_apply(ProcId proc, VarId, Value, WriteId wid,
+                             bool at_issue, sim::Time now) {
+  // At-issue applies are not `update_applied` events; fed in, aw-seq's
+  // re-application of an IS-process's pre-applied writes would read as a
+  // FIFO regression.
+  if (at_issue) return;
+  ++events_seen_;
+  if (!wid.valid()) return;
+  const std::int64_t t = now.ns;
   Applied& last = applied_[key(pack(proc), pack(wid.origin()))];
   // Equal seq is benign (AW-seq re-applies pre-applied own writes); an
   // inversion at one virtual instant is benign too (atomic batch apply, no
@@ -203,8 +126,6 @@ void OnlineMonitor::report(Violation v) {
   ++violation_count_;
   if (m_violations_ != nullptr) m_violations_->inc();
   if (sink_ != nullptr) {
-    // The sink invokes the listener on every accepted record; recursion is
-    // bounded because observe() ignores chk-category events.
     CIM_TRACE(sink_, sim::Time{v.t}, obs::TraceCategory::kChk, "violation",
               {{"kind", v.kind},
                {"proc", v.proc},
@@ -213,7 +134,7 @@ void OnlineMonitor::report(Violation v) {
                {"expect", std::uint64_t{v.expected_seq}},
                {"got", std::uint64_t{v.got_seq}}});
   }
-  if (violations_.size() < opts_.max_violations) {
+  if (violations_.size() < kMaxViolations) {
     violations_.push_back(v);
   }
 }

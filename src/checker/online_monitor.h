@@ -1,10 +1,15 @@
 // Online causal-consistency monitor: a bounded-memory streaming consumer of
-// the structured trace that flags consistency violations *while the run is
+// the write lifecycle that flags consistency violations *while the run is
 // still executing* — unlike the offline checkers (causal_checker.h,
 // search_checker.h), which need the complete history afterwards.
 //
-// The monitor attaches to a TraceSink as its listener and watches the v3
-// write-lifecycle events (every one carries the originating WriteId):
+// The monitor is an mcs::MemoryObserver: a Federation registers it on its
+// observer stream, so it runs whether or not tracing is on. It consumes
+// three hooks, each carrying the originating WriteId where there is one:
+// write issues, completed reads, and delivered applies (at-issue applies of
+// the writer's own replica are skipped; they are not `update_applied`
+// events). `cim_trace check` feeds the same rules offline from a JSONL
+// trace's `write_issue`, `read_done` and `update_applied` events.
 //
 //   fifo_regress — per-writer FIFO application order. A replica applied
 //     write #s of some origin after already applying #s' > s from the same
@@ -33,35 +38,31 @@
 // is reported. Values are assumed unique per execution (the repo-wide
 // workload convention) so a value identifies its write.
 //
-// Every violation is recorded, emitted as a `chk`/`violation` trace event
-// and counted in the `checker.violations` metric the moment the offending
-// event is observed. All state is bounded by MonitorOptions caps; when a
-// cap is hit the oldest entries are forgotten (reducing detection power,
-// never soundness).
+// Every violation is recorded, counted in the `checker.violations` metric
+// and, when tracing is on, emitted as a `chk`/`violation` trace event right
+// after the event that caused it. All state is bounded by the k* caps
+// below; when a cap is hit the oldest entries are forgotten (reducing
+// detection power, never soundness).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/value.h"
+#include "mcs/memory_observer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_read.h"
 
 namespace cim::chk {
 
+/// FederationConfig::monitor: register an OnlineMonitor on the federation's
+/// observer stream.
 struct MonitorOptions {
   bool enabled = false;
-  bool check_fifo_apply = true;
-  bool check_read_monotonic = true;
-  bool check_writes_into = true;
-  std::size_t max_tracked_values = 1 << 16;  // value -> write id map
-  std::size_t max_writes_per_var = 1 << 10;  // per (origin, var) seq history
-  std::size_t max_violations = 256;          // retained Violation records
 };
 
 struct Violation {
@@ -74,28 +75,28 @@ struct Violation {
   std::uint32_t got_seq = 0;       // seq actually observed (0 = init)
 };
 
-class OnlineMonitor {
+class OnlineMonitor final : public mcs::MemoryObserver {
  public:
-  explicit OnlineMonitor(MonitorOptions opts = {});
-
-  /// Categories the monitor consumes (plus chk, which it emits).
-  static std::uint32_t required_category_mask();
-
-  /// Attach as `sink`'s listener; violations are then reported live as
-  /// `violation` trace events and on the `checker.violations` counter.
   /// Either pointer may be null (offline use: feed observe() directly).
-  void attach(obs::TraceSink* sink, obs::MetricsRegistry* metrics);
-  void detach();
+  explicit OnlineMonitor(obs::TraceSink* sink = nullptr,
+                         obs::MetricsRegistry* metrics = nullptr);
 
-  /// Feed one live / parsed event. chk-category events are ignored (the
-  /// monitor's own emissions do not recurse).
-  void observe(const obs::TraceEvent& ev);
+  // ---- live feed (mcs::MemoryObserver) -------------------------------------
+  void on_write_issued(ProcId writer, VarId var, Value value, WriteId wid,
+                       sim::Time t) override;
+  void on_read_done(ProcId reader, VarId var, Value value,
+                    sim::Time t) override;
+  void on_apply(ProcId replica, VarId var, Value value, WriteId wid,
+                bool at_issue, sim::Time t) override;
+
+  /// Offline feed: one parsed trace event. Events other than the three
+  /// lifecycle events above are ignored.
   void observe(const obs::ParsedTraceEvent& ev);
 
-  const MonitorOptions& options() const { return opts_; }
+  /// Lifecycle events consumed (write issues, reads, delivered applies).
   std::uint64_t events_seen() const { return events_seen_; }
   std::uint64_t violation_count() const { return violation_count_; }
-  /// Retained violation records, oldest first (capped at max_violations;
+  /// Retained violation records, oldest first (capped at kMaxViolations;
   /// violation_count() keeps the true total).
   const std::vector<Violation>& violations() const { return violations_; }
 
@@ -107,14 +108,13 @@ class OnlineMonitor {
     return (std::uint32_t(p.system.value) << 16) | p.index;
   }
 
-  void on_write_issue(std::int64_t t, ProcId proc, WriteId wid, VarId var,
-                      Value value);
-  void on_read_done(std::int64_t t, ProcId proc, VarId var, Value value);
-  void on_update_applied(std::int64_t t, ProcId proc, WriteId wid);
+  static constexpr std::size_t kMaxTrackedValues = 1 << 16;  // value -> wid
+  static constexpr std::size_t kMaxWritesPerVar = 1 << 10;  // per (origin, var)
+  static constexpr std::size_t kMaxViolations = 256;        // retained records
+
   void learn(ProcId proc, WriteId wid);
   void report(Violation v);
 
-  MonitorOptions opts_;
   obs::TraceSink* sink_ = nullptr;
   obs::Counter* m_violations_ = nullptr;
 

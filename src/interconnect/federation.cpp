@@ -31,14 +31,9 @@ Federation::Federation(FederationConfig config)
     : obs_(config.obs), fabric_(sim_, config.seed) {
   CIM_CHECK_MSG(!config.systems.empty(), "federation needs at least one system");
   if (config.monitor.enabled) {
-    // The monitor rides the trace stream: force tracing on and make sure
-    // the categories it consumes (and chk, which it emits) pass the mask.
-    obs::TraceSink& trace = obs_.trace();
-    trace.set_enabled(true);
-    trace.set_category_mask(trace.category_mask() |
-                            chk::OnlineMonitor::required_category_mask());
-    monitor_ = std::make_unique<chk::OnlineMonitor>(config.monitor);
-    monitor_->attach(&trace, &obs_.metrics());
+    monitor_ =
+        std::make_unique<chk::OnlineMonitor>(&obs_.trace(), &obs_.metrics());
+    mux_.add(monitor_.get());
   }
   fabric_.set_observability(&obs_);
   for (mcs::SystemConfig& sc : config.systems) {

@@ -45,11 +45,10 @@ struct FederationConfig {
   /// scheduled as simulator events at construction time.
   sim::FaultPlan faults;
   /// Online causal-consistency monitor (checker/online_monitor.h). Enabling
-  /// it force-enables tracing (and the categories the monitor consumes) and
-  /// attaches the monitor as the trace listener, so violations surface as
-  /// `chk`/`violation` events and on `checker.violations` *during* the run.
-  /// Disabled (the default), no listener is installed and instrumentation
-  /// cost is unchanged.
+  /// it registers the monitor as the first observer of the write-lifecycle
+  /// stream, so violations surface on `checker.violations` (and, when
+  /// tracing is on, as `chk`/`violation` events) *during* the run. It leaves
+  /// the trace settings alone: an untraced run stays untraced.
   chk::MonitorOptions monitor;
 };
 
@@ -75,8 +74,9 @@ class Federation {
   std::size_t num_systems() const { return systems_.size(); }
   mcs::System& system(std::size_t index) { return *systems_.at(index); }
 
-  /// Register a stats tracker; it will observe every write issue and every
-  /// replica application in all systems.
+  /// Register a stats tracker on the write-lifecycle stream: it will observe
+  /// every write issue, completed read and replica application in all
+  /// systems.
   void add_observer(mcs::MemoryObserver* observer) { mux_.add(observer); }
 
   /// Run the simulation to quiescence (or until `deadline`).

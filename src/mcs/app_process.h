@@ -6,7 +6,8 @@
 // outstanding operation: additional requests queue and issue in order, which
 // preserves the sequential-process semantics. Every operation is recorded in
 // the Recorder (invocation and response), forming the computations the
-// checker verifies.
+// checker verifies, and reported to the MemoryObserver (write issues and
+// completed reads).
 //
 // IS-processes use read_now() for the reads issued inside upcall handlers:
 // those reads must be served immediately even if the process has a pending
@@ -24,7 +25,8 @@ namespace cim::mcs {
 class AppProcess {
  public:
   AppProcess(ProcId id, bool is_isp, McsProcess& mcs, chk::Recorder& recorder,
-             sim::Simulator& simulator, obs::Observability* obs = nullptr);
+             sim::Simulator& simulator, MemoryObserver* observer = nullptr,
+             obs::Observability* obs = nullptr);
   AppProcess(const AppProcess&) = delete;
   AppProcess& operator=(const AppProcess&) = delete;
 
@@ -83,6 +85,7 @@ class AppProcess {
   VecQueue<Request> queue_;
   std::uint64_t completed_ = 0;
   std::uint32_t next_wseq_ = 0;  // per-process write counter (wid seq part)
+  MemoryObserver* observer_;     // may be null
 
   // Cached instrument cells (null without observability).
   obs::TraceSink* trace_ = nullptr;

@@ -37,6 +37,10 @@ void McsProcess::note_update_applied(VarId var, Value value, WriteId wid) {
   CIM_TRACE(trace_, simulator().now(), obs::TraceCategory::kProto,
             "update_applied",
             {{"proc", id()}, {"var", var}, {"val", value}, {"wid", wid}});
+  if (ctx_.observer != nullptr) {
+    ctx_.observer->on_apply(id(), var, value, wid, /*at_issue=*/false,
+                            simulator().now());
+  }
 }
 
 void McsProcess::note_update_applied(VarId var, Value value, WriteId wid,
@@ -52,6 +56,17 @@ void McsProcess::note_update_applied(VarId var, Value value, WriteId wid,
              {"val", value},
              {"wid", wid},
              {"wait_ns", simulator().now() - received_at}});
+  if (ctx_.observer != nullptr) {
+    ctx_.observer->on_apply(id(), var, value, wid, /*at_issue=*/false,
+                            simulator().now());
+  }
+}
+
+void McsProcess::note_applied_at_issue(VarId var, Value value, WriteId wid) {
+  if (ctx_.observer != nullptr) {
+    ctx_.observer->on_apply(id(), var, value, wid, /*at_issue=*/true,
+                            simulator().now());
+  }
 }
 
 void McsProcess::set_out_channels(std::vector<net::ChannelId> out) {

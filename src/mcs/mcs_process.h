@@ -103,7 +103,6 @@ class McsProcess : public net::Receiver {
   sim::Simulator& simulator() { return *ctx_.simulator; }
   net::Fabric& fabric() { return *ctx_.fabric; }
   Rng& rng() { return rng_; }
-  MemoryObserver* observer() { return ctx_.observer; }
   obs::TraceSink* trace() { return trace_; }
 
   // ---- protocol instrumentation (docs/OBSERVABILITY.md, `proto.*`) --------
@@ -112,12 +111,16 @@ class McsProcess : public net::Receiver {
   /// A remote update entered the protocol's reorder/batch buffer; sample its
   /// occupancy *after* insertion.
   void note_update_buffered(std::size_t buffer_size);
-  /// A remote update was applied to the replica. `received_at` (if known)
-  /// feeds the causal-wait histogram: time the update sat buffered until its
-  /// causal dependencies arrived.
+  /// A delivered update was applied to the replica (counter + trace +
+  /// MemoryObserver::on_apply). `received_at` (if known) feeds the
+  /// causal-wait histogram: time the update sat buffered until its causal
+  /// dependencies arrived.
   void note_update_applied(VarId var, Value value, WriteId wid);
   void note_update_applied(VarId var, Value value, WriteId wid,
                            sim::Time received_at);
+  /// The write call itself updated this process's own replica (observer
+  /// only: such applies are not `update_applied` events).
+  void note_applied_at_issue(VarId var, Value value, WriteId wid);
 
   const std::vector<net::ChannelId>& out_channels() const { return out_; }
   /// Sender local index of a registered inbound channel.

@@ -1,8 +1,15 @@
-// Observation hooks for experiments.
+// The write-lifecycle stream: typed hooks for every write issue, every
+// completed application read and every replica application.
 //
-// Protocols report every write issue and every replica application so the
-// stats layer can measure visibility latency (the paper's `l` and the 3l+2d
-// bound of Section 6) without touching protocol internals.
+// Its consumers are the stats layer, which measures visibility latency (the
+// paper's `l` and the 3l+2d bound of Section 6), and the online causal
+// monitor (checker/online_monitor.h). The stream runs whether or not tracing
+// is on. Each hook fires right after the trace record it mirrors
+// (`write_issue`, `read_done`, `update_applied`), so a consumer that records
+// its own events lands them next to the event that caused them.
+//
+// Header-only and free of mcs dependencies: cim_checker implements it
+// (chk::OnlineMonitor) without linking cim_mcs, which links cim_checker.
 #pragma once
 
 #include <vector>
@@ -17,15 +24,26 @@ class MemoryObserver {
  public:
   virtual ~MemoryObserver() = default;
 
-  /// A write operation w(var)value was issued by `writer` at time `t`.
+  /// Application process `writer` issued w(var)value, identified by `wid`
+  /// (an IS-process re-issuing a propagated write carries the origin's wid).
   virtual void on_write_issued(ProcId writer, VarId var, Value value,
-                               sim::Time t) {
-    (void)writer; (void)var; (void)value; (void)t;
+                               WriteId wid, sim::Time t) {
+    (void)writer; (void)var; (void)value; (void)wid; (void)t;
+  }
+
+  /// A read issued through the application's operation queue returned
+  /// `value`. Reads an IS-process serves inside an upcall are not reported.
+  virtual void on_read_done(ProcId reader, VarId var, Value value,
+                            sim::Time t) {
+    (void)reader; (void)var; (void)value; (void)t;
   }
 
   /// The replica of `var` at MCS-process `replica` was updated with `value`.
-  virtual void on_apply(ProcId replica, VarId var, Value value, sim::Time t) {
-    (void)replica; (void)var; (void)value; (void)t;
+  /// `at_issue` marks the writer's own replica updated by the write call
+  /// itself; every other application is a delivered update.
+  virtual void on_apply(ProcId replica, VarId var, Value value, WriteId wid,
+                        bool at_issue, sim::Time t) {
+    (void)replica; (void)var; (void)value; (void)wid; (void)at_issue; (void)t;
   }
 };
 
@@ -35,12 +53,19 @@ class ObserverMux final : public MemoryObserver {
  public:
   void add(MemoryObserver* observer) { observers_.push_back(observer); }
 
-  void on_write_issued(ProcId writer, VarId var, Value value,
+  void on_write_issued(ProcId writer, VarId var, Value value, WriteId wid,
                        sim::Time t) override {
-    for (MemoryObserver* o : observers_) o->on_write_issued(writer, var, value, t);
+    for (MemoryObserver* o : observers_)
+      o->on_write_issued(writer, var, value, wid, t);
   }
-  void on_apply(ProcId replica, VarId var, Value value, sim::Time t) override {
-    for (MemoryObserver* o : observers_) o->on_apply(replica, var, value, t);
+  void on_read_done(ProcId reader, VarId var, Value value,
+                    sim::Time t) override {
+    for (MemoryObserver* o : observers_) o->on_read_done(reader, var, value, t);
+  }
+  void on_apply(ProcId replica, VarId var, Value value, WriteId wid,
+                bool at_issue, sim::Time t) override {
+    for (MemoryObserver* o : observers_)
+      o->on_apply(replica, var, value, wid, at_issue, t);
   }
 
  private:

@@ -71,7 +71,7 @@ struct WriteSpan {
 
 class SpanIndex {
  public:
-  /// Feed one live event (usable as a TraceSink listener).
+  /// Feed one live event (e.g. from TraceSink::for_each).
   void observe(const TraceEvent& ev);
   /// Feed one event read back from JSONL.
   void observe(const ParsedTraceEvent& ev);

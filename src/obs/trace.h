@@ -161,15 +161,6 @@ class TraceSink {
   void record(sim::Time t, TraceCategory cat, const char* name,
               std::initializer_list<TraceField> fields);
 
-  /// Streaming consumer invoked synchronously for every accepted event,
-  /// after it is stored in the ring. One listener at a time (nullptr
-  /// detaches). The listener may itself record events (e.g. the online
-  /// monitor emitting `violation`); recursion is bounded because the
-  /// monitor ignores chk-category events.
-  using Listener = std::function<void(const TraceEvent&)>;
-  void set_listener(Listener listener) { listener_ = std::move(listener); }
-  bool has_listener() const { return static_cast<bool>(listener_); }
-
   // ---- introspection -------------------------------------------------------
   std::uint64_t recorded() const { return total_; }  // accepted, ever
   std::uint64_t dropped() const {                    // evicted by wraparound
@@ -201,7 +192,6 @@ class TraceSink {
   std::vector<TraceEvent> ring_;
   std::uint64_t total_ = 0;
   std::array<std::uint64_t, kNumTraceCategories> per_category_{};
-  Listener listener_;
 };
 
 /// Instrumentation-site helper: evaluates the field list only when `sink`

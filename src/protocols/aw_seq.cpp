@@ -7,11 +7,9 @@
 
 namespace cim::proto {
 
-void TobProcess::apply_at_issue(VarId var, Value value) {
+void TobProcess::apply_at_issue(VarId var, Value value, WriteId wid) {
   store_.set(var, value);
-  if (observer() != nullptr) {
-    observer()->on_apply(id(), var, value, simulator().now());
-  }
+  note_applied_at_issue(var, value, wid);
 }
 
 void TobProcess::publish(VarId var, Value value, WriteId wid,
@@ -92,9 +90,6 @@ void TobProcess::apply_sequenced(const TobDeliver& del, bool own,
         } else {
           note_update_applied(var, value, wid, received_at);
         }
-        if (observer() != nullptr) {
-          observer()->on_apply(id(), var, value, simulator().now());
-        }
       },
       std::move(done));
 }
@@ -102,13 +97,10 @@ void TobProcess::apply_sequenced(const TobDeliver& del, bool own,
 void AwSeqProcess::do_write(VarId var, Value value, WriteId wid,
                             mcs::WriteCallback cb) {
   note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-  }
   if (has_upcall_handler()) {
     // IS-process write: apply locally and acknowledge immediately (see the
     // header comment for why blocking would deadlock the upcall discipline).
-    apply_at_issue(var, value);
+    apply_at_issue(var, value, wid);
     publish(var, value, wid, /*pre_applied=*/true);
     cb();
     return;

@@ -86,7 +86,7 @@ class TobProcess : public mcs::McsProcess {
   explicit TobProcess(const mcs::McsContext& ctx) : McsProcess(ctx) {}
 
   /// Apply an own write to the local replica at issue time.
-  void apply_at_issue(VarId var, Value value);
+  void apply_at_issue(VarId var, Value value, WriteId wid);
   /// Hand an update to the sequencer (directly, at the sequencer itself).
   void publish(VarId var, Value value, WriteId wid, bool pre_applied);
 

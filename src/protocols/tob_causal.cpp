@@ -7,15 +7,12 @@ namespace cim::proto {
 void TobCausalProcess::do_write(VarId var, Value value, WriteId wid,
                                 mcs::WriteCallback cb) {
   note_update_issued(var, value, wid);
-  if (observer() != nullptr) {
-    observer()->on_write_issued(id(), var, value, simulator().now());
-  }
   if (has_upcall_handler()) {
     // IS-process host: keep the replica in pure sequence order so upcall
     // reads always return the value being applied (condition (c)).
     publish(var, value, wid, /*pre_applied=*/false);
   } else {
-    apply_at_issue(var, value);
+    apply_at_issue(var, value, wid);
     publish(var, value, wid, /*pre_applied=*/true);
   }
   cb();  // writes acknowledge immediately in this protocol

@@ -5,12 +5,12 @@
 namespace cim::stats {
 
 void VisibilityTracker::on_write_issued(ProcId writer, VarId, Value value,
-                                        sim::Time t) {
+                                        WriteId, sim::Time t) {
   issues_.emplace(value, Issue{writer, t});
 }
 
-void VisibilityTracker::on_apply(ProcId replica, VarId, Value value,
-                                 sim::Time t) {
+void VisibilityTracker::on_apply(ProcId replica, VarId, Value value, WriteId,
+                                 bool, sim::Time t) {
   auto& per_replica = applies_[value];
   per_replica.try_emplace(replica, t);  // keep the first application
 }

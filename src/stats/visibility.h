@@ -18,9 +18,10 @@ namespace cim::stats {
 
 class VisibilityTracker final : public mcs::MemoryObserver {
  public:
-  void on_write_issued(ProcId writer, VarId var, Value value,
+  void on_write_issued(ProcId writer, VarId var, Value value, WriteId wid,
                        sim::Time t) override;
-  void on_apply(ProcId replica, VarId var, Value value, sim::Time t) override;
+  void on_apply(ProcId replica, VarId var, Value value, WriteId wid,
+                bool at_issue, sim::Time t) override;
 
   /// Issue time of the write of `value`; nullopt if not observed.
   std::optional<sim::Time> issue_time(Value value) const;

@@ -25,7 +25,7 @@ constexpr VarId kShared{8};
 
 class ApplyDigest final : public mcs::MemoryObserver {
  public:
-  void on_apply(ProcId replica, VarId var, Value value,
+  void on_apply(ProcId replica, VarId var, Value value, WriteId, bool,
                 sim::Time t) override {
     mix(replica.system.value);
     mix(replica.index);

@@ -395,6 +395,8 @@ TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
     ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
     EXPECT_EQ(results[i].ops_done, 3u * 12u);
     EXPECT_EQ(results[i].violations, 0u);
+    // The always-on monitor does not turn tracing on for an untraced node.
+    EXPECT_EQ(nodes[i]->federation().observability().trace().recorded(), 0u);
     total_sent += results[i].pairs_sent;
     total_received += results[i].pairs_received;
     const chk::History h = nodes[i]->federation().federation_history();

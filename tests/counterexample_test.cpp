@@ -91,6 +91,7 @@ void run_counterexample(Federation& fed, Probe& probe) {
 TEST(Counterexample, Protocol1AloneViolatesCausality) {
   FederationConfig cfg = counterexample_config(IsProtocolChoice::kForceProtocol1);
   cfg.monitor.enabled = true;  // the online monitor must convict this live
+  cfg.obs.trace.enabled = true;  // ...and report it as `chk` trace events
   Federation fed(std::move(cfg));
   ASSERT_FALSE(fed.interconnector().shared_isp(0).pre_reads_enabled());
 

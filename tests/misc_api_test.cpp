@@ -15,8 +15,17 @@ using test::X;
 struct CountingObserver final : mcs::MemoryObserver {
   int issued = 0;
   int applied = 0;
-  void on_write_issued(ProcId, VarId, Value, sim::Time) override { ++issued; }
-  void on_apply(ProcId, VarId, Value, sim::Time) override { ++applied; }
+  int reads = 0;
+  int at_issue = 0;
+  void on_write_issued(ProcId, VarId, Value, WriteId, sim::Time) override {
+    ++issued;
+  }
+  void on_read_done(ProcId, VarId, Value, sim::Time) override { ++reads; }
+  void on_apply(ProcId, VarId, Value, WriteId, bool issue,
+                sim::Time) override {
+    ++applied;
+    if (issue) ++at_issue;
+  }
 };
 
 TEST(ObserverMux, FansOutToAllRegisteredObservers) {
@@ -25,11 +34,15 @@ TEST(ObserverMux, FansOutToAllRegisteredObservers) {
   fed.add_observer(&a);
   fed.add_observer(&b);
   fed.system(0).app(0).write(X, 1);
+  fed.system(0).app(1).read(X);
   fed.run();
   EXPECT_EQ(a.issued, 1);
   EXPECT_EQ(a.applied, 3);  // writer + two remote replicas
+  EXPECT_EQ(a.at_issue, 1);  // only the writer's own replica
+  EXPECT_EQ(a.reads, 1);
   EXPECT_EQ(b.issued, a.issued);
   EXPECT_EQ(b.applied, a.applied);
+  EXPECT_EQ(b.reads, a.reads);
 }
 
 TEST(ObserverMux, ObserversAddedMidRunSeeOnlyLaterEvents) {

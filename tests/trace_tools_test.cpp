@@ -254,9 +254,6 @@ TEST(PerfettoExport, EmitsValidChromeTraceJson) {
 
 class MonitorFeed {
  public:
-  explicit MonitorFeed(chk::MonitorOptions opts = {.enabled = true})
-      : monitor_(opts) {}
-
   chk::OnlineMonitor& monitor() { return monitor_; }
 
   void write_issue(std::int64_t t, ProcId p, WriteId wid, VarId var,
@@ -383,22 +380,26 @@ TEST(OnlineMonitor, DisabledFederationMonitorAddsNothing) {
   isc::Federation fed(std::move(cfg));
   EXPECT_EQ(fed.monitor(), nullptr);
   EXPECT_FALSE(fed.observability().trace().enabled());
-  EXPECT_FALSE(fed.observability().trace().has_listener());
   fed.system(0).app(0).write(X, 1);
   fed.run();
   EXPECT_EQ(fed.observability().trace().recorded(), 0u);
 }
 
-TEST(OnlineMonitor, EnabledFederationMonitorForcesTracing) {
+TEST(OnlineMonitor, EnabledFederationMonitorLeavesTracingOff) {
   isc::FederationConfig cfg = test::two_systems(2, proto::anbkh_protocol(),
                                                 proto::anbkh_protocol(), 5);
   cfg.monitor.enabled = true;  // note: obs.trace.enabled left false
   isc::Federation fed(std::move(cfg));
   ASSERT_NE(fed.monitor(), nullptr);
-  EXPECT_TRUE(fed.observability().trace().enabled());
-  EXPECT_TRUE(fed.observability().trace().has_listener());
   fed.system(0).app(0).write(X, 1);
+  fed.system(1).app(1).read(X);
   fed.run();
+  // The monitor is fed by the observer stream, not the trace ring: the
+  // untraced run allocates no ring and records nothing.
+  const obs::TraceSink& trace = fed.observability().trace();
+  EXPECT_FALSE(trace.enabled());
+  EXPECT_FALSE(trace.buffer_allocated());
+  EXPECT_EQ(trace.recorded(), 0u);
   EXPECT_GT(fed.monitor()->events_seen(), 0u);
   EXPECT_EQ(fed.monitor()->violation_count(), 0u);  // ANBKH is causal
 }
