@@ -12,8 +12,8 @@
 
 #include "bench_util.h"
 #include "checker/causal_checker.h"
+#include "obs/span_index.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 
 namespace {
 
@@ -52,7 +52,7 @@ Outcome run(double duty, std::uint64_t seed) {
   cfg.links.push_back(std::move(link));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
 
   wl::UniformConfig wc;

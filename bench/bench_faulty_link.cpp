@@ -15,8 +15,8 @@
 #include "bench_report.h"
 #include "bench_util.h"
 #include "checker/causal_checker.h"
+#include "obs/span_index.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 
 namespace {
 
@@ -55,7 +55,7 @@ Outcome run(double drop, bool reliable, std::uint64_t seed) {
   cfg.links.push_back(std::move(link));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
 
   wl::UniformConfig wc;

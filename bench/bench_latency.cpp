@@ -15,8 +15,8 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
+#include "obs/span_index.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 
 namespace {
 
@@ -33,7 +33,7 @@ sim::Duration measure_worst_latency(std::size_t m, sim::Duration l,
   params.isp_mode = mode;
   isc::Federation fed(bench::make_config(params));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
 
   // A single write in a leaf system (the worst-placed writer of a star).

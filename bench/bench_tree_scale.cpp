@@ -12,8 +12,8 @@
 #include "bench_report.h"
 #include "bench_util.h"
 #include "checker/causal_checker.h"
+#include "obs/span_index.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 
 namespace {
 
@@ -48,7 +48,7 @@ sim::Duration worst_latency(bench::Topology topo, std::size_t m,
   params.isp_mode = isc::IspMode::kPerLink;
   isc::Federation fed(bench::make_config(params));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
   fed.system(0).app(0).write(VarId{0}, 1);
   fed.run();
@@ -99,12 +99,12 @@ PerfResult perf_run(bench::Topology topo, std::size_t m, std::uint16_t procs,
     r.events = fed.simulator().events_fired();
   }
 
-  // Untimed re-run with the visibility tracker for the p99 row (virtual-time,
+  // Untimed re-run with the span index for the p99 row (virtual-time,
   // deterministic — identical seed reproduces the same event sequence).
   {
     isc::Federation fed(
         bench::make_config(perf_params(topo, m, procs, seed)));
-    stats::VisibilityTracker vis;
+    obs::SpanIndex vis;
     fed.add_observer(&vis);
     auto runners = wl::install_uniform(fed, wc);
     fed.run();

@@ -9,9 +9,9 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
+#include "obs/span_index.h"
 #include "stats/summary.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 
 namespace {
 
@@ -44,7 +44,7 @@ stats::DurationSummary run(std::size_t m, sim::Duration l, sim::Duration d,
   }
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
 
   wl::UniformConfig wc;

@@ -21,9 +21,9 @@
 #include "checker/causal_checker.h"
 #include "interconnect/federation.h"
 #include "obs/metrics.h"
+#include "obs/span_index.h"
 #include "protocols/anbkh.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 #include "workload/generator.h"
 
 using namespace cim;
@@ -65,7 +65,7 @@ Result run_global() {
   cfg.systems.push_back(std::move(sys));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
   wl::UniformConfig wc;
   wc.ops_per_process = 20;
@@ -116,7 +116,7 @@ Result run_interconnected(const ObsOutputs& outputs) {
   cfg.links.push_back(std::move(link));
   isc::Federation fed(std::move(cfg));
 
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
   wl::UniformConfig wc;
   wc.ops_per_process = 20;

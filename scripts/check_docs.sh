@@ -167,6 +167,24 @@ if grep -rlq "forces tracing on" "$root"/docs; then
   status=1
 fi
 
+# obs::SpanIndex is the one per-write latency table: the docs must not name
+# the visibility tracker it replaced or its removed live-ring entry point,
+# and the per-hop latency metrics must say they exist only on
+# in-federation links (over a mesh link the pair's stamps come from another
+# process's virtual clock, so no sample is taken).
+for word in "VisibilityTracker" "index(const obs::TraceSink"; do
+  if grep -rqF -- "$word" "$root"/docs "$root"/README.md; then
+    echo "check_docs: docs/ or README.md still names the removed '${word}'" >&2
+    status=1
+  fi
+done
+for metric in isc.pair_hop_latency isc.propagation_latency; do
+  if ! grep -F "| \`${metric}\` |" "$obs_doc" | grep -q "in-federation links only"; then
+    echo "check_docs: the ${metric} row of docs/OBSERVABILITY.md does not say 'in-federation links only'" >&2
+    status=1
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
   echo "check_docs: OK"
 fi

@@ -29,7 +29,7 @@ void OnlineMonitor::observe(const obs::ParsedTraceEvent& ev) {
 }
 
 void OnlineMonitor::learn(ProcId proc, WriteId wid) {
-  std::uint32_t& k = knows_[key(pack(proc), pack(wid.origin()))];
+  std::uint32_t& k = knows_[pack(proc)][pack(wid.origin())];
   k = std::max(k, wid.seq());
 }
 
@@ -78,9 +78,7 @@ void OnlineMonitor::on_read_done(ProcId proc, VarId var, Value value,
   // and s* <= knows_[proc][o]. Reading anything older than s* (the initial
   // value, or an overwritten write of the same origin) violates writes-into
   // order.
-  for (const auto& [ko, known_seq] : knows_) {
-    if (std::uint32_t(ko >> 32) != pack(proc)) continue;
-    const std::uint32_t origin_packed = std::uint32_t(ko);
+  for (const auto& [origin_packed, known_seq] : knows_[pack(proc)]) {
     const auto ws = writes_.find(key(origin_packed, var.value));
     if (ws == writes_.end()) continue;
     // seqs are ascending: find the largest <= known_seq.

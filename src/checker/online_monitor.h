@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -128,8 +129,11 @@ class OnlineMonitor final : public mcs::MemoryObserver {
 
   // (origin, var) -> ascending seqs of that origin's writes to var.
   std::unordered_map<std::uint64_t, std::deque<std::uint32_t>> writes_;
-  // (proc, origin) -> highest seq of origin the proc has read or issued.
-  std::unordered_map<std::uint64_t, std::uint32_t> knows_;
+  // proc -> origin -> highest seq of origin the proc has read or issued.
+  // Keyed per reader so a read visits only the origins its reader knows,
+  // in ascending origin order.
+  std::unordered_map<std::uint32_t, std::map<std::uint32_t, std::uint32_t>>
+      knows_;
   // (proc, var) -> write returned by the proc's last read of var.
   std::unordered_map<std::uint64_t, WriteId> last_read_;
   // (replica, origin) -> highest seq applied at the replica, and when.

@@ -170,11 +170,16 @@ void IsProcess::on_message(net::ChannelId from, net::MessagePtr msg) {
     if (chan == from.value) source_link = link;
   }
   CIM_CHECK_MSG(source_link != SIZE_MAX, "pair on unregistered link");
-  deliver_from_link(source_link, std::move(msg));
+  receive(source_link, std::move(msg), /*same_clock=*/true);
 }
 
 void IsProcess::deliver_from_link(std::size_t source_link,
                                   net::MessagePtr msg) {
+  receive(source_link, std::move(msg), /*same_clock=*/false);
+}
+
+void IsProcess::receive(std::size_t source_link, net::MessagePtr msg,
+                        bool same_clock) {
   CIM_CHECK(source_link < out_links_.size());
   CIM_DCHECK_MSG(dynamic_cast<PairMsg*>(msg.get()) != nullptr,
                  "IS-process received a non-pair message");
@@ -195,18 +200,30 @@ void IsProcess::deliver_from_link(std::size_t source_link,
   ++pairs_received_;
   ++pairs_received_on_[source_link];
 
-  if (m_pairs_received_ != nullptr) {
-    m_pairs_received_->inc();
-    h_hop_latency_->observe(now - pair->sent_at);
-    h_propagation_->observe(now - pair->origin_time);
+  if (m_pairs_received_ != nullptr) m_pairs_received_->inc();
+  // sent_at and origin_time are stamped by the sending IS-process's
+  // simulator. Across a mesh link that is another process's virtual clock,
+  // so the differences would not be latencies: record them only when both
+  // ends share this simulator.
+  if (same_clock) {
+    if (h_hop_latency_ != nullptr) {
+      h_hop_latency_->observe(now - pair->sent_at);
+      h_propagation_->observe(now - pair->origin_time);
+    }
+    CIM_TRACE(trace_, now, obs::TraceCategory::kIsc, "pair_in",
+              {{"proc", id()},
+               {"var", pair->var},
+               {"val", pair->value},
+               {"wid", pair->write_id},
+               {"hop_ns", now - pair->sent_at},
+               {"prop_ns", now - pair->origin_time}});
+  } else {
+    CIM_TRACE(trace_, now, obs::TraceCategory::kIsc, "pair_in",
+              {{"proc", id()},
+               {"var", pair->var},
+               {"val", pair->value},
+               {"wid", pair->write_id}});
   }
-  CIM_TRACE(trace_, now, obs::TraceCategory::kIsc, "pair_in",
-            {{"proc", id()},
-             {"var", pair->var},
-             {"val", pair->value},
-             {"wid", pair->write_id},
-             {"hop_ns", now - pair->sent_at},
-             {"prop_ns", now - pair->origin_time}});
 
   // Forward to every other link first (tree interconnection with a shared
   // IS-process: its own writes generate no upcalls, so forwarding must be

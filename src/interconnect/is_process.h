@@ -81,11 +81,13 @@ class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
   /// deliver_from_link directly).
   void register_in_channel(net::ChannelId in, std::size_t link_index);
 
-  /// Hand a pair received on `source_link` to the IS-protocol: task
-  /// Propagate_in(y, u) — forward to every *other* link (split horizon),
-  /// then issue the local write. The net::Receiver hook resolves a fabric
-  /// channel to its link and lands here; transports without a fabric
-  /// channel (tools/cim_bridge's TCP link) call this directly.
+  /// Hand a pair received on `source_link` from another process's
+  /// simulator (tools/cim_bridge's TCP link, which has no fabric channel)
+  /// to the IS-protocol: task Propagate_in(y, u) — forward to every *other*
+  /// link (split horizon), then issue the local write. The pair's send and
+  /// origin stamps come from the peer's virtual clock, so no hop or
+  /// propagation latency is recorded for it; pairs the fabric delivers
+  /// through on_message() record both.
   void deliver_from_link(std::size_t source_link, net::MessagePtr msg);
 
   /// Attach to the MCS-process and select the IS-protocol variant.
@@ -138,6 +140,9 @@ class IsProcess final : public mcs::UpcallHandler, public net::Receiver {
 
   void send_pair(std::size_t link, VarId var, Value value, WriteId wid,
                  sim::Time origin_time);
+  /// Propagate_in for both delivery paths; `same_clock` marks pairs whose
+  /// sender runs on this simulator.
+  void receive(std::size_t source_link, net::MessagePtr msg, bool same_clock);
   void run_pre_update(VarId var, mcs::DoneFn done);
   void run_post_update(VarId var, Value value, WriteId wid,
                        mcs::DoneFn done);

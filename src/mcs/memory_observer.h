@@ -1,15 +1,17 @@
 // The write-lifecycle stream: typed hooks for every write issue, every
 // completed application read and every replica application.
 //
-// Its consumers are the stats layer, which measures visibility latency (the
-// paper's `l` and the 3l+2d bound of Section 6), and the online causal
-// monitor (checker/online_monitor.h). The stream runs whether or not tracing
-// is on. Each hook fires right after the trace record it mirrors
-// (`write_issue`, `read_done`, `update_applied`), so a consumer that records
-// its own events lands them next to the event that caused them.
+// Its consumers are obs::SpanIndex (obs/span_index.h), the per-write latency
+// table that measures visibility latency (the paper's `l` and the 3l+2d
+// bound of Section 6), and the online causal monitor
+// (checker/online_monitor.h). The stream runs whether or not tracing is on.
+// Each hook fires right after the trace record it mirrors (`write_issue`,
+// `read_done`, `update_applied`), so a consumer that records its own events
+// lands them next to the event that caused them.
 //
-// Header-only and free of mcs dependencies: cim_checker implements it
-// (chk::OnlineMonitor) without linking cim_mcs, which links cim_checker.
+// Header-only and free of mcs dependencies: cim_obs (obs::SpanIndex) and
+// cim_checker (chk::OnlineMonitor) implement it without linking cim_mcs,
+// which links both.
 #pragma once
 
 #include <vector>

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
-#include <string_view>
+#include <string>
 
 #include "obs/json.h"
 
@@ -10,38 +10,18 @@ namespace cim::obs {
 
 namespace {
 
-const TraceField* find_field(const TraceEvent& ev, std::string_view key) {
-  for (std::uint8_t k = 0; k < ev.num_fields; ++k) {
-    const TraceField& f = ev.fields[k];
-    if (f.key != nullptr && key == f.key) return &f;
-  }
-  return nullptr;
-}
-
-std::int64_t live_int(const TraceEvent& ev, std::string_view key,
-                      std::int64_t def) {
-  const TraceField* f = find_field(ev, key);
-  if (f == nullptr) return def;
-  switch (f->kind) {
-    case TraceField::Kind::kInt: return f->i;
-    case TraceField::Kind::kUint: return static_cast<std::int64_t>(f->u);
-    default: return def;
-  }
-}
-
-bool live_proc(const TraceEvent& ev, std::string_view key, ProcId& out) {
-  const TraceField* f = find_field(ev, key);
-  if (f == nullptr || f->kind != TraceField::Kind::kProc) return false;
-  out = ProcId{SystemId{static_cast<std::uint16_t>(f->proc >> 16)},
-               static_cast<std::uint16_t>(f->proc & 0xFFFF)};
-  return true;
+// A process as trace records spell it: "<system>.<index>".
+std::string trace_proc(ProcId p) {
+  return std::to_string(p.system.value) + "." + std::to_string(p.index);
 }
 
 }  // namespace
 
 std::int64_t WriteSpan::completion_t() const {
   std::int64_t t = std::max(issue_t, origin_done_t);
-  for (const Apply& a : applies) t = std::max(t, a.t);
+  for (const Apply& a : applies) {
+    if (!a.at_issue) t = std::max(t, a.t);
+  }
   for (const PairOut& p : pair_outs) t = std::max(t, p.t);
   for (const PairIn& p : pair_ins) t = std::max(t, p.t);
   return t;
@@ -95,44 +75,17 @@ void SpanIndex::on_pair_in(std::int64_t t, ProcId proc, WriteId wid,
   span_for(wid).pair_ins.push_back({proc, t, hop_ns, prop_ns});
 }
 
-void SpanIndex::observe(const TraceEvent& ev) {
-  ++events_seen_;
-  const WriteId wid{static_cast<std::uint64_t>(live_int(ev, "wid", 0))};
-  if (!wid.valid()) return;
-  ProcId proc{};
-  if (!live_proc(ev, "proc", proc)) return;
-  const std::int64_t t = ev.t.ns;
-  const std::string_view name = ev.name;
-  switch (ev.cat) {
-    case TraceCategory::kMcs:
-      if (name == "write_issue") {
-        on_write_issue(t, proc, wid, VarId{static_cast<std::uint32_t>(
-                                         live_int(ev, "var", 0))},
-                       live_int(ev, "val", 0));
-      } else if (name == "write_done") {
-        on_write_done(t, proc, wid);
-      }
-      break;
-    case TraceCategory::kProto:
-      if (name == "update_applied") {
-        on_update_applied(t, proc, wid, live_int(ev, "wait_ns", -1));
-      }
-      break;
-    case TraceCategory::kIsc:
-      if (name == "pair_out") {
-        on_pair_out(t, proc, wid,
-                    static_cast<std::uint64_t>(live_int(ev, "link", 0)));
-      } else if (name == "pair_in") {
-        on_pair_in(t, proc, wid, live_int(ev, "hop_ns", 0),
-                   live_int(ev, "prop_ns", 0));
-      }
-      break;
-    default: break;
-  }
+void SpanIndex::on_write_issued(ProcId writer, VarId var, Value value,
+                                WriteId wid, sim::Time t) {
+  on_write_issue(t.ns, writer, wid, var, value);
+}
+
+void SpanIndex::on_apply(ProcId replica, VarId, Value, WriteId wid,
+                         bool at_issue, sim::Time t) {
+  span_for(wid).applies.push_back({replica, t.ns, -1, at_issue});
 }
 
 void SpanIndex::observe(const ParsedTraceEvent& ev) {
-  ++events_seen_;
   const WriteId wid = ev.wid();
   if (!wid.valid()) return;
   ProcId proc{};
@@ -153,18 +106,59 @@ void SpanIndex::observe(const ParsedTraceEvent& ev) {
     if (ev.name == "pair_out") {
       on_pair_out(ev.t, proc, wid, ev.field_uint("link"));
     } else if (ev.name == "pair_in") {
-      on_pair_in(ev.t, proc, wid, ev.field_int("hop_ns"),
-                 ev.field_int("prop_ns"));
+      on_pair_in(ev.t, proc, wid, ev.field_int("hop_ns", -1),
+                 ev.field_int("prop_ns", -1));
     }
   }
 }
 
-void SpanIndex::index(const TraceSink& sink) {
-  sink.for_each([this](const TraceEvent& ev) { observe(ev); });
-}
-
 void SpanIndex::index(const std::vector<ParsedTraceEvent>& events) {
   for (const ParsedTraceEvent& ev : events) observe(ev);
+}
+
+std::optional<sim::Time> SpanIndex::apply_time(WriteId wid,
+                                               ProcId replica) const {
+  const WriteSpan* s = span(wid);
+  if (s == nullptr) return std::nullopt;
+  for (const WriteSpan::Apply& a : s->applies) {
+    if (a.proc == replica) return sim::Time{a.t};
+  }
+  return std::nullopt;
+}
+
+std::optional<sim::Duration> SpanIndex::visibility(
+    WriteId wid, const std::vector<ProcId>& targets) const {
+  const WriteSpan* s = span(wid);
+  if (s == nullptr || !s->origin_seen) return std::nullopt;
+  std::int64_t latest = s->issue_t;
+  for (ProcId target : targets) {
+    const std::optional<sim::Time> applied = apply_time(wid, target);
+    if (!applied) return std::nullopt;
+    latest = std::max(latest, applied->ns);
+  }
+  return sim::Duration{latest - s->issue_t};
+}
+
+std::optional<sim::Duration> SpanIndex::worst_visibility(
+    const std::vector<ProcId>& targets) const {
+  std::optional<sim::Duration> worst;
+  for (const WriteSpan& s : spans_) {
+    if (!s.origin_seen) continue;
+    const std::optional<sim::Duration> vis = visibility(s.wid, targets);
+    if (!vis) return std::nullopt;
+    if (!worst || *vis > *worst) worst = vis;
+  }
+  return worst;
+}
+
+std::vector<sim::Duration> SpanIndex::all_visibilities(
+    const std::vector<ProcId>& targets) const {
+  std::vector<sim::Duration> out;
+  for (const WriteSpan& s : spans_) {
+    if (!s.origin_seen) continue;
+    if (const auto vis = visibility(s.wid, targets)) out.push_back(*vis);
+  }
+  return out;
 }
 
 SpanIndex::StageBreakdown SpanIndex::stages() const {
@@ -175,6 +169,7 @@ SpanIndex::StageBreakdown SpanIndex::stages() const {
       out.origin_apply.push_back(sim::Duration{s.origin_done_t - s.issue_t});
     }
     for (const WriteSpan::Apply& a : s.applies) {
+      if (a.at_issue) continue;
       if (a.wait_ns >= 0) out.causal_wait.push_back(sim::Duration{a.wait_ns});
       if (!s.origin_seen || a.proc == s.wid.origin()) continue;
       const sim::Duration lat{a.t - s.issue_t};
@@ -185,26 +180,21 @@ SpanIndex::StageBreakdown SpanIndex::stages() const {
       }
     }
     for (const WriteSpan::PairIn& p : s.pair_ins) {
-      out.is_hop.push_back(sim::Duration{p.hop_ns});
-      out.propagation.push_back(sim::Duration{p.prop_ns});
+      if (p.hop_ns >= 0) out.is_hop.push_back(sim::Duration{p.hop_ns});
+      if (p.prop_ns >= 0) {
+        out.propagation.push_back(sim::Duration{p.prop_ns});
+      }
     }
   }
   return out;
 }
 
 void SpanIndex::write_spans_jsonl(std::ostream& os) const {
-  for (WriteId wid : order_) {
-    const WriteSpan& s = spans_[by_wid_.at(wid)];
+  for (const WriteSpan& s : spans_) {  // first-seen order
     JsonWriter w(os);
     w.begin_object();
     w.kv("wid", s.wid.value);
-    {
-      const ProcId o = s.wid.origin();
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%u.%u", unsigned(o.system.value),
-                    unsigned(o.index));
-      w.kv("origin", std::string_view(buf));
-    }
+    w.kv("origin", trace_proc(s.wid.origin()));
     w.kv("seq", std::uint64_t{s.wid.seq()});
     w.kv("var", std::uint64_t{s.var.value});
     w.kv("val", std::int64_t{s.value});
@@ -214,11 +204,9 @@ void SpanIndex::write_spans_jsonl(std::ostream& os) const {
     w.key("applies");
     w.begin_array();
     for (const WriteSpan::Apply& a : s.applies) {
+      if (a.at_issue) continue;
       w.begin_object();
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%u.%u", unsigned(a.proc.system.value),
-                    unsigned(a.proc.index));
-      w.kv("proc", std::string_view(buf));
+      w.kv("proc", trace_proc(a.proc));
       w.kv("t", a.t);
       if (a.wait_ns >= 0) w.kv("wait_ns", a.wait_ns);
       w.end_object();
@@ -228,10 +216,7 @@ void SpanIndex::write_spans_jsonl(std::ostream& os) const {
     w.begin_array();
     for (const WriteSpan::PairOut& p : s.pair_outs) {
       w.begin_object();
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%u.%u", unsigned(p.proc.system.value),
-                    unsigned(p.proc.index));
-      w.kv("proc", std::string_view(buf));
+      w.kv("proc", trace_proc(p.proc));
       w.kv("t", p.t);
       w.kv("link", p.link);
       w.end_object();
@@ -241,13 +226,10 @@ void SpanIndex::write_spans_jsonl(std::ostream& os) const {
     w.begin_array();
     for (const WriteSpan::PairIn& p : s.pair_ins) {
       w.begin_object();
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%u.%u", unsigned(p.proc.system.value),
-                    unsigned(p.proc.index));
-      w.kv("proc", std::string_view(buf));
+      w.kv("proc", trace_proc(p.proc));
       w.kv("t", p.t);
-      w.kv("hop_ns", p.hop_ns);
-      w.kv("prop_ns", p.prop_ns);
+      if (p.hop_ns >= 0) w.kv("hop_ns", p.hop_ns);
+      if (p.prop_ns >= 0) w.kv("prop_ns", p.prop_ns);
       w.end_object();
     }
     w.end_array();

@@ -1,13 +1,15 @@
-// Per-write causal spans: reconstructing one write's propagation tree from a
-// structured trace.
+// Per-write causal spans: the one per-write latency table.
 //
-// Every v3 lifecycle event carries the originating write id, so grouping a
-// trace by `wid` recovers, for each write: where it was issued, when each
-// replica applied it (and how long it waited for causal dependencies), and
-// every IS-link hop it took across the federation. The index consumes either
-// live TraceEvent records (attach to a TraceSink ring) or ParsedTraceEvent
-// records read back from JSONL (the cim_trace CLI), and derives the
-// per-stage latency breakdown Section 6 of the paper reasons about:
+// Every v3 lifecycle event carries the originating write id, so grouping by
+// `wid` recovers, for each write: where it was issued, when each replica
+// applied it (and how long it waited for causal dependencies), and every
+// IS-link hop it took across the federation. The index is fed live as an
+// mcs::MemoryObserver (Federation::add_observer(&index): write issues and
+// replica applies, including at-issue applies of the writer's own replica,
+// tracing on or off), or offline from ParsedTraceEvent records read back
+// from JSONL (the cim_trace CLI), which add write_done, causal waits and
+// the pair_out/pair_in hops. From those it derives the per-stage latency
+// breakdown Section 6 of the paper reasons about:
 //
 //   origin_apply — write_issue → write_done at the origin process
 //   fanout_intra — write_issue → update_applied at replicas of the origin's
@@ -20,18 +22,27 @@
 //   propagation  — origin IS-propagation → pair_in at each receiving
 //                  IS-process; the exact samples of isc.propagation_latency
 //
-// Bounded only by the trace itself: the ring buffer caps the number of
-// events a run retains, so the index inherits that bound.
+// A pair_in from a mesh link carries no hop_ns/prop_ns (its ends run
+// separate virtual clocks) and adds no is_hop or propagation sample.
+//
+// The visibility queries answer the paper's `l`, "the time until a value
+// written is visible in any other process": a target's time is its first
+// apply of the write, of either kind. No trace event records an at-issue
+// apply, so offline spans cannot answer visibility at a writer whose
+// protocol applies at issue. stages(), completion_t() and
+// write_spans_jsonl() skip at-issue applies, so live and offline spans
+// agree there.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/value.h"
-#include "obs/trace.h"
+#include "mcs/memory_observer.h"
 #include "obs/trace_read.h"
 #include "stats/summary.h"
 
@@ -49,6 +60,7 @@ struct WriteSpan {
     ProcId proc;
     std::int64_t t = 0;
     std::int64_t wait_ns = -1;   // -1: no causal wait recorded
+    bool at_issue = false;       // writer's own replica, live feed only
   };
   struct PairOut {
     ProcId proc;
@@ -58,33 +70,52 @@ struct WriteSpan {
   struct PairIn {
     ProcId proc;
     std::int64_t t = 0;
-    std::int64_t hop_ns = 0;
-    std::int64_t prop_ns = 0;
+    std::int64_t hop_ns = -1;    // -1: not recorded (mesh link)
+    std::int64_t prop_ns = -1;   // -1: not recorded (mesh link)
   };
   std::vector<Apply> applies;
   std::vector<PairOut> pair_outs;
   std::vector<PairIn> pair_ins;
 
-  /// Last time the write was observed anywhere (applies/hops/issue).
+  /// Last time the write was observed anywhere (delivered applies, hops,
+  /// issue).
   std::int64_t completion_t() const;
 };
 
-class SpanIndex {
+class SpanIndex final : public mcs::MemoryObserver {
  public:
-  /// Feed one live event (e.g. from TraceSink::for_each).
-  void observe(const TraceEvent& ev);
+  // ---- live feed (mcs::MemoryObserver) -------------------------------------
+  void on_write_issued(ProcId writer, VarId var, Value value, WriteId wid,
+                       sim::Time t) override;
+  void on_apply(ProcId replica, VarId var, Value value, WriteId wid,
+                bool at_issue, sim::Time t) override;
+
+  // ---- offline feed --------------------------------------------------------
   /// Feed one event read back from JSONL.
   void observe(const ParsedTraceEvent& ev);
-
-  /// Convenience: index everything buffered in `sink` / parsed from a file.
-  void index(const TraceSink& sink);
   void index(const std::vector<ParsedTraceEvent>& events);
 
   const WriteSpan* span(WriteId wid) const;
   /// Write ids in first-seen order.
   const std::vector<WriteId>& wids() const { return order_; }
   std::size_t size() const { return order_.size(); }
-  std::uint64_t events_seen() const { return events_seen_; }
+
+  // ---- visibility (the paper's `l`; see the header comment) ---------------
+  /// First time `replica` applied `wid`; nullopt if it never did.
+  std::optional<sim::Time> apply_time(WriteId wid, ProcId replica) const;
+  /// Latency until `wid` was visible at all `targets`; nullopt if its issue
+  /// at the origin was not observed or some target never applied it.
+  std::optional<sim::Duration> visibility(
+      WriteId wid, const std::vector<ProcId>& targets) const;
+  /// Worst visibility latency over all writes issued at their origin;
+  /// nullopt if any never became visible everywhere (a liveness failure) or
+  /// none was issued.
+  std::optional<sim::Duration> worst_visibility(
+      const std::vector<ProcId>& targets) const;
+  /// Visibility latency of every write issued at its origin that reached
+  /// every target, in first-seen order.
+  std::vector<sim::Duration> all_visibilities(
+      const std::vector<ProcId>& targets) const;
 
   /// Per-stage latency sample sets (see the header comment for stage
   /// definitions). Feed each vector to stats::summarize for percentiles.
@@ -117,7 +148,6 @@ class SpanIndex {
   std::unordered_map<WriteId, std::size_t> by_wid_;
   std::vector<WriteSpan> spans_;
   std::vector<WriteId> order_;
-  std::uint64_t events_seen_ = 0;
 };
 
 }  // namespace cim::obs

@@ -1,10 +1,10 @@
 // Reading structured traces back: a minimal JSON parser and the parsed
 // counterpart of TraceEvent.
 //
-// The live pipeline hands obs::TraceEvent records straight to consumers
-// (SpanIndex, the online monitor). Offline tooling — the cim_trace CLI, the
-// Perfetto exporter, tests — re-reads the JSONL emitted by
-// TraceSink::write_jsonl(). ParsedTraceEvent is the common denominator: one
+// Live consumers (SpanIndex, the online monitor) take the write-lifecycle
+// stream (mcs::MemoryObserver) and never read the trace. Offline tooling —
+// the cim_trace CLI, the Perfetto exporter, tests — re-reads the JSONL
+// emitted by TraceSink::write_jsonl(). ParsedTraceEvent is the common denominator: one
 // record per line, with typed field accessors mirroring TraceField kinds.
 //
 // The JSON parser is deliberately small (objects, arrays, strings, numbers,

@@ -1,19 +1,25 @@
-// Pins the replica apply order of all six member protocols.
+// Pins the replica apply order and the visibility latencies of all six
+// member protocols.
 //
-// Each test runs one small seeded two-system federation and folds every
-// replica application (replica, var, value, time) into a 64-bit FNV-1a
-// digest through a MemoryObserver. Any change to a protocol's delivery
-// buffer, its tie-breaks or its event scheduling moves the digest, so the
-// constants below turn "golden traces stay bit-identical" into a ctest
-// assertion. Change a constant only for an intended behaviour change.
+// Each test runs one small seeded two-system federation. ApplyOrder.* folds
+// every replica application (replica, var, value, time) into a 64-bit
+// FNV-1a digest through a MemoryObserver. Visibility.* folds the Section 6
+// visibility latency of every write towards all application processes, and
+// the worst of them, into the same kind of digest. Any change to a
+// protocol's delivery buffer, its tie-breaks, its event scheduling or the
+// latency table moves a digest, so the constants below turn "golden traces
+// stay bit-identical" into a ctest assertion. Change a constant only for an
+// intended behaviour change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "checker/causal_checker.h"
 #include "helpers.h"
+#include "obs/span_index.h"
 #include "protocols/cbcast_dsm.h"
 #include "protocols/partial_rep.h"
 
@@ -23,22 +29,9 @@ namespace {
 constexpr std::uint16_t kApps = 3;
 constexpr VarId kShared{8};
 
-class ApplyDigest final : public mcs::MemoryObserver {
- public:
-  void on_apply(ProcId replica, VarId var, Value value, WriteId, bool,
-                sim::Time t) override {
-    mix(replica.system.value);
-    mix(replica.index);
-    mix(var.value);
-    mix(static_cast<std::uint64_t>(value));
-    mix(static_cast<std::uint64_t>(t.ns));
-    ++applies;
-  }
-
+struct Fnv1a {
   std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
-  std::uint64_t applies = 0;
 
- private:
   void mix(std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
       digest ^= (word >> (8 * byte)) & 0xff;
@@ -47,10 +40,28 @@ class ApplyDigest final : public mcs::MemoryObserver {
   }
 };
 
+class ApplyDigest final : public mcs::MemoryObserver {
+ public:
+  void on_apply(ProcId replica, VarId var, Value value, WriteId, bool,
+                sim::Time t) override {
+    fnv.mix(replica.system.value);
+    fnv.mix(replica.index);
+    fnv.mix(var.value);
+    fnv.mix(static_cast<std::uint64_t>(value));
+    fnv.mix(static_cast<std::uint64_t>(t.ns));
+    ++applies;
+  }
+
+  Fnv1a fnv;
+  std::uint64_t applies = 0;
+};
+
 // Process p of either system touches its own variable p and the shared one,
 // so the same workload also respects partial-rep's interest sets. Jittered
-// intra-system delays make updates wait in the delivery buffers.
-ApplyDigest run_federation(const mcs::ProtocolFactory& protocol) {
+// intra-system delays make updates wait in the delivery buffers. `also`,
+// when given, observes the same run.
+ApplyDigest run_federation(const mcs::ProtocolFactory& protocol,
+                           mcs::MemoryObserver* also = nullptr) {
   isc::FederationConfig cfg = test::two_systems(kApps, protocol, protocol, 5);
   for (mcs::SystemConfig& sc : cfg.systems) {
     sc.intra_delay = [] {
@@ -61,6 +72,7 @@ ApplyDigest run_federation(const mcs::ProtocolFactory& protocol) {
   isc::Federation fed(std::move(cfg));
   ApplyDigest digest;
   fed.add_observer(&digest);
+  if (also != nullptr) fed.add_observer(also);
 
   Rng rng(11);
   Value next = 1;
@@ -90,7 +102,45 @@ void expect_pinned(const mcs::ProtocolFactory& protocol,
                    std::uint64_t digest, std::uint64_t applies) {
   const ApplyDigest got = run_federation(protocol);
   EXPECT_EQ(got.applies, applies);
-  EXPECT_EQ(got.digest, digest) << std::hex << "0x" << got.digest;
+  EXPECT_EQ(got.fnv.digest, digest) << std::hex << "0x" << got.fnv.digest;
+}
+
+// Digest of every write's visibility latency towards all application
+// processes (sorted, so the table's iteration order does not matter), then
+// the worst one (0 when some write never reached every target).
+void expect_visibility_pinned(const mcs::ProtocolFactory& protocol,
+                              std::uint64_t digest, std::size_t reached) {
+  obs::SpanIndex vis;
+  run_federation(protocol, &vis);
+  std::vector<ProcId> targets;
+  for (std::uint16_t s = 0; s < 2; ++s) {
+    for (std::uint16_t p = 0; p < kApps; ++p) {
+      targets.push_back(ProcId{SystemId{s}, p});
+    }
+  }
+  std::vector<sim::Duration> all = vis.all_visibilities(targets);
+  std::sort(all.begin(), all.end());
+  Fnv1a fnv;
+  for (sim::Duration d : all) fnv.mix(static_cast<std::uint64_t>(d.ns));
+  const auto worst = vis.worst_visibility(targets);
+  fnv.mix(static_cast<std::uint64_t>(worst ? worst->ns : 0));
+  EXPECT_EQ(all.size(), reached);
+  EXPECT_EQ(fnv.digest, digest) << std::hex << "0x" << fnv.digest;
+}
+
+// Process p replicates its own variable p and the shared one.
+mcs::ProtocolFactory own_and_shared_partial_rep() {
+  return partial_rep_protocol(
+      [](std::uint16_t index, VarId var) {
+        return var.value == index || var == kShared;
+      },
+      kApps);
+}
+
+LazyBatchConfig shuffled_batches() {
+  LazyBatchConfig lc;
+  lc.order = BatchOrder::kShuffleVars;
+  return lc;
 }
 
 TEST(ApplyOrder, Anbkh) {
@@ -98,18 +148,12 @@ TEST(ApplyOrder, Anbkh) {
 }
 
 TEST(ApplyOrder, LazyBatch) {
-  LazyBatchConfig lc;
-  lc.order = BatchOrder::kShuffleVars;
-  expect_pinned(lazy_batch_protocol(lc), 0x9a603d0d7bb70d7aull, 688);
+  expect_pinned(lazy_batch_protocol(shuffled_batches()), 0x9a603d0d7bb70d7aull,
+                688);
 }
 
 TEST(ApplyOrder, PartialRep) {
-  expect_pinned(partial_rep_protocol(
-                    [](std::uint16_t index, VarId var) {
-                      return var.value == index || var == kShared;
-                    },
-                    kApps),
-                0x454dbbe31a2d08dbull, 532);
+  expect_pinned(own_and_shared_partial_rep(), 0x454dbbe31a2d08dbull, 532);
 }
 
 TEST(ApplyOrder, CbcastDsm) {
@@ -122,6 +166,32 @@ TEST(ApplyOrder, AwSeq) {
 
 TEST(ApplyOrder, TobCausal) {
   expect_pinned(tob_causal_protocol(), 0xccb58194a2406c52ull, 688);
+}
+
+TEST(Visibility, Anbkh) {
+  expect_visibility_pinned(anbkh_protocol(), 0x773beb8ed44c3b61ull, 86);
+}
+
+TEST(Visibility, LazyBatch) {
+  expect_visibility_pinned(lazy_batch_protocol(shuffled_batches()),
+                           0x57924c4fb581663dull, 86);
+}
+
+TEST(Visibility, PartialRep) {
+  expect_visibility_pinned(own_and_shared_partial_rep(),
+                           0xda067d97ef58843bull, 47);
+}
+
+TEST(Visibility, CbcastDsm) {
+  expect_visibility_pinned(cbcast_dsm_protocol(), 0x773beb8ed44c3b61ull, 86);
+}
+
+TEST(Visibility, AwSeq) {
+  expect_visibility_pinned(aw_seq_protocol(), 0x714b40759d228f18ull, 86);
+}
+
+TEST(Visibility, TobCausal) {
+  expect_visibility_pinned(tob_causal_protocol(), 0xd5ebba4202d31c29ull, 86);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "net/fault_inject.h"
 #include "net/tcp_link.h"
 #include "net/wire.h"
+#include "obs/trace_read.h"
 
 namespace cim {
 namespace {
@@ -415,11 +417,16 @@ TEST(MeshSoak, FiveSystemTreeMergedHistoryIsCausal) {
 
 // ---- the closing handshake (docs/BRIDGE.md "Termination") ------------------
 
-TEST(MeshDrain, FaultFreeChainClosesWithoutGraceOrResume) {
-  // Default session timings, so the rejoin grace window is the full
-  // 2 x backoff_max + 2 x hb_interval = 2.2 s a missed ack used to cost.
-  const std::uint16_t base = test::free_port_base(2);
+// A fault-free 2-node chain with default session timings, run to
+// completion on one thread per node.
+struct Chain2 {
   std::vector<std::unique_ptr<mesh::MeshNode>> nodes;
+  std::vector<mesh::MeshResult> results;
+};
+
+Chain2 run_chain2(bool trace = false) {
+  const std::uint16_t base = test::free_port_base(2);
+  Chain2 chain;
   for (std::size_t i = 0; i < 2; ++i) {
     mesh::MeshConfig cfg;
     cfg.node_id = i;
@@ -429,24 +436,70 @@ TEST(MeshDrain, FaultFreeChainClosesWithoutGraceOrResume) {
     cfg.ops = 40;
     cfg.seed = 13;
     cfg.join_timeout_ms = 20'000;
-    nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
+    cfg.trace = trace;
+    chain.nodes.push_back(std::make_unique<mesh::MeshNode>(std::move(cfg)));
   }
-  std::vector<mesh::MeshResult> results(2);
+  chain.results.resize(2);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 2; ++i) {
-    threads.emplace_back([&, i] {
-      if (nodes[i]->join()) results[i] = nodes[i]->run();
+    threads.emplace_back([&chain, i] {
+      if (chain.nodes[i]->join()) chain.results[i] = chain.nodes[i]->run();
     });
   }
   for (auto& t : threads) t.join();
+  return chain;
+}
+
+TEST(MeshDrain, FaultFreeChainClosesWithoutGraceOrResume) {
+  // The rejoin grace window is the full 2 x backoff_max + 2 x hb_interval =
+  // 2.2 s a missed ack used to cost.
+  Chain2 chain = run_chain2();
+  auto& nodes = chain.nodes;
   for (std::size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(results[i].ok) << "node " << i << ": " << nodes[i]->error();
+    ASSERT_TRUE(chain.results[i].ok)
+        << "node " << i << ": " << nodes[i]->error();
     expect_clean_close(*nodes[i]);
   }
   EXPECT_EQ(nodes[0]->session(0).data_sent(),
             nodes[1]->session(0).data_delivered());
   EXPECT_EQ(nodes[1]->session(0).data_sent(),
             nodes[0]->session(0).data_delivered());
+}
+
+// A pair's send and origin stamps come from the sending node's virtual
+// clock, which has no relation to the receiver's: a mesh node publishes no
+// hop or propagation latency, and its pair_in events carry no hop_ns or
+// prop_ns.
+TEST(MeshLatency, CrossClockPairsRecordNoHopOrPropagationLatency) {
+  Chain2 chain = run_chain2(/*trace=*/true);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(chain.results[i].ok)
+        << "node " << i << ": " << chain.nodes[i]->error();
+    isc::Federation& fed = chain.nodes[i]->federation();
+    const obs::MetricsSnapshot snap = fed.metrics_snapshot();
+    const obs::MetricsSnapshot::Entry* received =
+        snap.find("isc.pairs_received");
+    ASSERT_NE(received, nullptr);
+    EXPECT_GT(received->value, 0) << "node " << i;
+    for (const char* name :
+         {"isc.pair_hop_latency", "isc.propagation_latency"}) {
+      const obs::MetricsSnapshot::Entry* h = snap.find(name);
+      ASSERT_NE(h, nullptr) << name;
+      EXPECT_EQ(h->summary.count, 0u) << "node " << i << " " << name;
+    }
+
+    std::ostringstream os;
+    fed.observability().trace().write_jsonl(os);
+    std::istringstream in(os.str());
+    std::size_t pair_ins = 0;
+    for (const obs::ParsedTraceEvent& ev : obs::read_trace_jsonl(in)) {
+      if (ev.name != "pair_in") continue;
+      ++pair_ins;
+      EXPECT_EQ(ev.field("hop_ns"), nullptr);
+      EXPECT_EQ(ev.field("prop_ns"), nullptr);
+    }
+    EXPECT_GT(pair_ins, 0u) << "node " << i;
+  }
 }
 
 void send_frame(int fd, std::uint64_t seq, std::uint64_t ack,

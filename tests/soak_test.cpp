@@ -5,10 +5,10 @@
 
 #include "checker/causal_checker.h"
 #include "helpers.h"
+#include "obs/span_index.h"
 #include "protocols/cbcast_dsm.h"
 #include "protocols/partial_rep.h"
 #include "stats/response.h"
-#include "stats/visibility.h"
 
 namespace cim::isc {
 namespace {
@@ -107,7 +107,7 @@ TEST_P(Soak, DialupEverywhereStillDeliversAndStaysCausal) {
     };
   }
   Federation fed(std::move(cfg));
-  stats::VisibilityTracker vis;
+  obs::SpanIndex vis;
   fed.add_observer(&vis);
 
   wl::UniformConfig wc;

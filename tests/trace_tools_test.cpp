@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checker/online_monitor.h"
@@ -142,12 +143,12 @@ TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
                                                 proto::anbkh_protocol(), 23);
   cfg.obs.trace.enabled = true;
   isc::Federation fed(std::move(cfg));
+  // Live: the write-lifecycle stream.
+  obs::SpanIndex live;
+  fed.add_observer(&live);
   for (Value v = 1; v <= 6; ++v) fed.system(0).app(0).write(X, 100 + v);
   fed.run();
 
-  // Live: index straight off the ring.
-  obs::SpanIndex live;
-  live.index(fed.observability().trace());
   // Offline: through JSONL and the parser.
   std::ostringstream os;
   fed.observability().trace().write_jsonl(os);
@@ -155,6 +156,14 @@ TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
   obs::SpanIndex offline;
   offline.index(obs::read_trace_jsonl(in));
 
+  // The delivered applies of one span, as (proc, t).
+  auto delivered = [](const obs::WriteSpan& s) {
+    std::vector<std::pair<ProcId, std::int64_t>> out;
+    for (const obs::WriteSpan::Apply& a : s.applies) {
+      if (!a.at_issue) out.emplace_back(a.proc, a.t);
+    }
+    return out;
+  };
   ASSERT_EQ(live.size(), offline.size());
   ASSERT_EQ(live.size(), 6u);
   for (WriteId wid : live.wids()) {
@@ -162,10 +171,14 @@ TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
     const obs::WriteSpan* b = offline.span(wid);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->issue_t, b->issue_t);
-    EXPECT_EQ(a->origin_done_t, b->origin_done_t);
-    EXPECT_EQ(a->applies.size(), b->applies.size());
-    EXPECT_EQ(a->pair_ins.size(), b->pair_ins.size());
-    EXPECT_EQ(a->completion_t(), b->completion_t());
+    EXPECT_EQ(delivered(*a), delivered(*b));
+    // anbkh updates the issuing replica at issue: the writer's, and the
+    // peer IS-process's on its re-issue. Only the live feed sees those two.
+    EXPECT_EQ(a->applies.size(), b->applies.size() + 2);
+    // Fields only the trace carries: the origin's ack and one pair_in per
+    // write at the peer system's IS-process.
+    EXPECT_GE(b->origin_done_t, b->issue_t);
+    EXPECT_EQ(b->pair_ins.size(), 1u);
   }
 
   // Acceptance: the propagation stage reproduces isc.propagation_latency.
@@ -198,6 +211,56 @@ TEST(SpanIndex, LiveAndOfflineAgreeAndPropagationMatchesHistogram) {
     ++parsed;
   }
   EXPECT_EQ(parsed, 6u);
+}
+
+TEST(SpanIndex, TracksIssueAndFirstApply) {
+  obs::SpanIndex vis;
+  const ProcId w{SystemId{0}, 0};
+  const ProcId r{SystemId{0}, 1};
+  const WriteId w1 = WriteId::make(w, 1);
+  vis.on_write_issued(w, X, 1, w1, sim::Time{100});
+  vis.on_apply(w, X, 1, w1, /*at_issue=*/true, sim::Time{100});
+  vis.on_apply(r, X, 1, w1, false, sim::Time{400});
+  vis.on_apply(r, X, 1, w1, false, sim::Time{900});  // later re-apply ignored
+
+  ASSERT_NE(vis.span(w1), nullptr);
+  EXPECT_EQ(vis.span(w1)->issue_t, 100);
+  EXPECT_EQ(vis.apply_time(w1, w), sim::Time{100});  // at-issue counts
+  EXPECT_EQ(vis.apply_time(w1, r), sim::Time{400});
+  auto v = vis.visibility(w1, {w, r});
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, sim::Duration{300});
+}
+
+TEST(SpanIndex, MissingTargetYieldsNullopt) {
+  obs::SpanIndex vis;
+  const ProcId w{SystemId{0}, 0};
+  const ProcId r{SystemId{0}, 1};
+  const WriteId w1 = WriteId::make(w, 1);
+  vis.on_write_issued(w, X, 1, w1, sim::Time{0});
+  vis.on_apply(w, X, 1, w1, /*at_issue=*/true, sim::Time{0});
+  EXPECT_FALSE(vis.apply_time(w1, r).has_value());
+  EXPECT_FALSE(vis.visibility(w1, {r}).has_value());
+  EXPECT_FALSE(vis.worst_visibility({r}).has_value());
+  EXPECT_FALSE(vis.visibility(WriteId::make(w, 2), {w}).has_value());
+}
+
+TEST(SpanIndex, WorstVisibilityIsMaximum) {
+  obs::SpanIndex vis;
+  const ProcId w{SystemId{0}, 0};
+  const ProcId r{SystemId{0}, 1};
+  const WriteId w1 = WriteId::make(w, 1);
+  const WriteId w2 = WriteId::make(w, 2);
+  vis.on_write_issued(w, X, 1, w1, sim::Time{0});
+  vis.on_apply(w, X, 1, w1, /*at_issue=*/true, sim::Time{0});
+  vis.on_apply(r, X, 1, w1, false, sim::Time{50});
+  vis.on_write_issued(w, X, 2, w2, sim::Time{100});
+  vis.on_apply(w, X, 2, w2, /*at_issue=*/true, sim::Time{100});
+  vis.on_apply(r, X, 2, w2, false, sim::Time{350});
+  auto worst = vis.worst_visibility({r});
+  ASSERT_TRUE(worst.has_value());
+  EXPECT_EQ(*worst, sim::Duration{250});
+  EXPECT_EQ(vis.all_visibilities({r}).size(), 2u);
 }
 
 TEST(PerfettoExport, EmitsValidChromeTraceJson) {

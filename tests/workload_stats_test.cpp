@@ -7,7 +7,6 @@
 #include "helpers.h"
 #include "stats/response.h"
 #include "stats/table.h"
-#include "stats/visibility.h"
 
 namespace cim {
 namespace {
@@ -98,52 +97,6 @@ TEST(RelayDriver, FiresOnceTriggerObserved) {
                      [&] { fed.system(0).app(0).write(X, 5); });
   fed.run();
   EXPECT_TRUE(relay.fired());
-}
-
-TEST(VisibilityTracker, TracksIssueAndFirstApply) {
-  stats::VisibilityTracker vis;
-  const ProcId w{SystemId{0}, 0};
-  const ProcId r{SystemId{0}, 1};
-  const WriteId w1 = WriteId::make(w, 1);
-  vis.on_write_issued(w, X, 1, w1, sim::Time{100});
-  vis.on_apply(w, X, 1, w1, /*at_issue=*/true, sim::Time{100});
-  vis.on_apply(r, X, 1, w1, false, sim::Time{400});
-  vis.on_apply(r, X, 1, w1, false, sim::Time{900});  // later re-apply ignored
-
-  EXPECT_EQ(vis.issue_time(1), sim::Time{100});
-  EXPECT_EQ(vis.apply_time(1, r), sim::Time{400});
-  auto v = vis.visibility(1, {w, r});
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, sim::Duration{300});
-}
-
-TEST(VisibilityTracker, MissingTargetYieldsNullopt) {
-  stats::VisibilityTracker vis;
-  const ProcId w{SystemId{0}, 0};
-  const ProcId r{SystemId{0}, 1};
-  const WriteId w1 = WriteId::make(w, 1);
-  vis.on_write_issued(w, X, 1, w1, sim::Time{0});
-  vis.on_apply(w, X, 1, w1, /*at_issue=*/true, sim::Time{0});
-  EXPECT_FALSE(vis.visibility(1, {r}).has_value());
-  EXPECT_FALSE(vis.worst_visibility({r}).has_value());
-}
-
-TEST(VisibilityTracker, WorstVisibilityIsMaximum) {
-  stats::VisibilityTracker vis;
-  const ProcId w{SystemId{0}, 0};
-  const ProcId r{SystemId{0}, 1};
-  const WriteId w1 = WriteId::make(w, 1);
-  const WriteId w2 = WriteId::make(w, 2);
-  vis.on_write_issued(w, X, 1, w1, sim::Time{0});
-  vis.on_apply(w, X, 1, w1, /*at_issue=*/true, sim::Time{0});
-  vis.on_apply(r, X, 1, w1, false, sim::Time{50});
-  vis.on_write_issued(w, X, 2, w2, sim::Time{100});
-  vis.on_apply(w, X, 2, w2, /*at_issue=*/true, sim::Time{100});
-  vis.on_apply(r, X, 2, w2, false, sim::Time{350});
-  auto worst = vis.worst_visibility({r});
-  ASSERT_TRUE(worst.has_value());
-  EXPECT_EQ(*worst, sim::Duration{250});
-  EXPECT_EQ(vis.all_visibilities({r}).size(), 2u);
 }
 
 TEST(ResponseStats, ComputesMeanAndMax) {
